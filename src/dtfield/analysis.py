@@ -14,7 +14,7 @@ import numpy as np
 
 from .field import FunctionalParams, Mask, TensorField
 from .optim import SolverConfig, solve
-from .spd import eigh_coeffs, log_coeffs, weighted_norm_sq
+from .spd import eigh_coeffs, fa_of_eigenvalues, log_coeffs, weighted_norm_sq
 from .synth import NoiseSpec, corrupt_field
 
 _GLYPH_CELL_PX = 40
@@ -99,8 +99,7 @@ def render_svg(w: TensorField, out_path=None,
     lam1 = vals[..., 0]
     lam2 = vals[..., 1]
     scale = _MAX_GLYPH_RADIUS / float(lam1.max())
-    spread = ((vals - vals.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
-    fa = np.clip(np.sqrt(1.5 * spread / (vals ** 2).sum(axis=-1)), 0.0, 1.0)
+    fa = fa_of_eigenvalues(vals)
     principal = vecs[..., :, 0]
     angles = np.degrees(np.arctan2(principal[..., 1], principal[..., 0]))
     height, width = w.height, w.width

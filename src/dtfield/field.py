@@ -6,7 +6,9 @@ spacing.  This module evaluates the masked fidelity term, the metric
 double-integral regularizer Phi (a discretized fractional Sobolev
 semi-norm), the full functional F = fidelity + alpha * Phi, and the
 comparison functional F_C = Frobenius fidelity + beta * Theta with Theta the
-forward-difference Sobolev semi-norm.
+forward-difference Sobolev semi-norm.  Objective is the one implementation
+of these functionals, their gradients and their feasible-set projections;
+the solver and the public field-level functions both evaluate through it.
 
 The batched evaluators at the bottom accept arrays with arbitrary leading
 axes in front of (height, width, 6) and return one energy per leading index;
@@ -33,6 +35,7 @@ from .spd import (
     jacobi_eigh,
     coeffs_to_matrices,
     log_coeffs,
+    project_full_coeffs,
     project_log_coeffs,
     weighted_norm_sq,
 )
@@ -309,26 +312,23 @@ def phi_kernel_offsets(height: int, width: int, params: FunctionalParams,
     rho^l(offset) / |offset|^(n + p s) with n = 2 and unit pixel spacing.
     """
     exponent = 2.0 + params.p * params.s
-    offsets = []
     if params.l == 1:
         moll = mollifier if mollifier is not None else build_mollifier(params.n_rho)
-        radius = moll.radius
-        for di in range(0, min(radius, height - 1) + 1):
-            for dj in range(-min(radius, width - 1), min(radius, width - 1) + 1):
-                if di == 0 and dj <= 0:
-                    continue
-                rho = moll.weight(dj, di)
-                if rho == 0.0:
-                    continue
-                dist = math.sqrt(di * di + dj * dj)
-                offsets.append((di, dj, rho / dist ** exponent))
+        reach_i, reach_j = min(moll.radius, height - 1), min(moll.radius, width - 1)
+        weight = moll.weight
     else:
-        for di in range(0, height):
-            for dj in range(-(width - 1), width):
-                if di == 0 and dj <= 0:
-                    continue
-                dist = math.sqrt(di * di + dj * dj)
-                offsets.append((di, dj, 1.0 / dist ** exponent))
+        reach_i, reach_j = height - 1, width - 1
+        weight = lambda dj, di: 1.0
+    offsets = []
+    for di in range(0, reach_i + 1):
+        for dj in range(-reach_j, reach_j + 1):
+            if di == 0 and dj <= 0:
+                continue
+            rho = weight(dj, di)
+            if rho == 0.0:
+                continue
+            dist = math.sqrt(di * di + dj * dj)
+            offsets.append((di, dj, rho / dist ** exponent))
     return offsets
 
 
@@ -399,15 +399,96 @@ def theta_energy(coeffs: np.ndarray, p: float, need_grad: bool = False):
     return energy, grad
 
 
+# ---- the objectives ----
+
+_OBJECTIVES = ("f-log-euclidean", "f-euclidean", "fc")
+
+
+class Objective:
+    """Value, gradient and feasible-set projection of one objective.
+
+    objective is "f-log-euclidean" (fidelity + alpha * Phi over per-pixel
+    matrix-log coefficients, where the feasible set is the log-norm ball),
+    "f-euclidean" (the same functional over raw coefficients) or "fc"
+    (Frobenius fidelity + beta * Theta over raw coefficients).  data is the
+    observed TensorField, or its coefficients already in the objective's
+    coordinates.  value and value_grad take coordinate arrays; start maps a
+    TensorField into feasible coordinates and finish maps them back.
+    """
+
+    def __init__(self, objective: str, data, mask, params: FunctionalParams,
+                 mollifier: Mollifier | None = None):
+        if objective not in _OBJECTIVES:
+            raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
+        self.kind = objective
+        self.params = params
+        self.log_mode = objective == "f-log-euclidean"
+        if not isinstance(data, TensorField):
+            self.target = np.asarray(data, dtype=np.float64)
+        elif self.log_mode:
+            self.target = log_coeffs(data.coeffs)
+        else:
+            self.target = data.coeffs
+        height, width = self.target.shape[-3:-1]
+        self.mask_values = _mask_values(mask, (height, width))
+        self.reg_weight = params.beta if objective == "fc" else params.alpha
+        if objective != "fc" and params.alpha > 0.0:
+            self.offsets = phi_kernel_offsets(height, width, params, mollifier)
+        else:
+            self.offsets = []
+
+    def start(self, init: TensorField) -> np.ndarray:
+        if self.log_mode:
+            x = log_coeffs(init.coeffs)
+            if (weighted_norm_sq(x) > self.params.z ** 2 * (1.0 + 1e-12)).any():
+                x = project_log_coeffs(x, self.params.epsilon, self.params.z)
+            return x
+        return project_full_coeffs(init.coeffs, self.params.epsilon, self.params.z)
+
+    def _regularizer(self, x: np.ndarray, need_grad: bool = False):
+        if self.kind == "fc":
+            return theta_energy(x, self.params.p, need_grad=need_grad)
+        return pairwise_energy(x, self.offsets, self.params.p, need_grad=need_grad)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        v = fidelity_energy(x, self.target, self.mask_values, self.params.p)
+        if self.reg_weight > 0.0:
+            v = v + self.reg_weight * self._regularizer(x)
+        return v
+
+    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        v, g = fidelity_energy(x, self.target, self.mask_values, self.params.p,
+                               need_grad=True)
+        if self.reg_weight > 0.0:
+            vr, gr = self._regularizer(x, need_grad=True)
+            v = v + self.reg_weight * vr
+            g = g + self.reg_weight * gr
+        return float(v), g
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        if self.log_mode:
+            return project_log_coeffs(x, self.params.epsilon, self.params.z)
+        return project_full_coeffs(x, self.params.epsilon, self.params.z)
+
+    def finish(self, x: np.ndarray) -> TensorField:
+        if self.log_mode:
+            return from_log_coords(x, self.params.z, self.params.epsilon)
+        return TensorField(x, self.params.z)
+
+
 # ---- public field-level operations ----
 
-def fidelity(w: TensorField, data: TensorField, mask, p: float,
-             metric: str = "log-euclidean") -> float:
-    """Sum over masked pixels of d^p(w(x), data(x))."""
+def _check_same_grid(w: TensorField, data: TensorField) -> None:
     if (w.height, w.width) != (data.height, data.width):
         raise ValueError(
             f"field {w.height}x{w.width} does not match data {data.height}x{data.width}"
         )
+
+
+def fidelity(w: TensorField, data: TensorField, mask, p: float,
+             metric: str = "log-euclidean") -> float:
+    """Sum over masked pixels of d^p(w(x), data(x))."""
+    _check_same_grid(w, data)
     mask_values = _mask_values(mask, (w.height, w.width))
     rep = _field_rep(w, metric)
     data_rep = _field_rep(data, metric)
@@ -431,10 +512,10 @@ def phi_regularizer(w: TensorField, params: FunctionalParams,
 def functional_F(w: TensorField, data: TensorField, mask, params: FunctionalParams,
                  metric: str = "log-euclidean") -> float:
     """Full variational objective: fidelity + alpha * Phi."""
-    value = fidelity(w, data, mask, params.p, metric)
-    if params.alpha > 0.0:
-        value += params.alpha * phi_regularizer(w, params, metric)
-    return float(value)
+    _check_same_grid(w, data)
+    rep = _field_rep(w, metric)
+    kind = "f-log-euclidean" if metric == "log-euclidean" else "f-euclidean"
+    return float(Objective(kind, data, mask, params).value(rep))
 
 
 def theta_regularizer(w, p: float) -> float:
@@ -448,10 +529,8 @@ def theta_regularizer(w, p: float) -> float:
 def functional_FC(w: TensorField, data: TensorField, mask,
                   params: FunctionalParams) -> float:
     """Comparison objective: Frobenius fidelity + beta * Theta."""
-    value = fidelity(w, data, mask, params.p, metric="euclidean")
-    if params.beta > 0.0:
-        value += params.beta * theta_regularizer(w, params.p)
-    return float(value)
+    _check_same_grid(w, data)
+    return float(Objective("fc", data, mask, params).value(w.coeffs))
 
 
 def to_log_coords(w: TensorField) -> np.ndarray:

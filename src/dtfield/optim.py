@@ -1,23 +1,18 @@
 """Projected gradient descent for the tensor-field objectives.
 
-The solver minimizes one of three objectives:
+solve minimizes one of the three objectives of field.Objective.  In
+"f-log-euclidean" the iterate holds per-pixel matrix-log coefficients; in
+these coordinates the objective is convex and the feasible set is the
+Frobenius log-norm ball, so each iteration is a gradient step followed by
+the ball projection.  "f-euclidean" and "fc" iterate on raw coefficients
+with the full SPD projection after each step.
 
-- "f-log-euclidean": fidelity + alpha * Phi with the log-Euclidean metric,
-  optimized over per-pixel matrix-log coefficients.  In these coordinates
-  the objective is convex and the feasible set is the Frobenius log-norm
-  ball, so each iteration is a gradient step followed by the ball
-  projection.
-- "f-euclidean": the same functional with the Euclidean (Frobenius) metric,
-  optimized over raw coefficients with the full SPD projection after each
-  step.
-- "fc": the Sobolev comparison functional (Frobenius fidelity +
-  beta * Theta), also over raw coefficients.
-
-Steps use Armijo backtracking: a trial point is accepted when it satisfies
-the sufficient-decrease inequality f(trial) <= f(x) + c * <grad, trial - x>
+Steps use Armijo backtracking: a trial point is accepted when it satisfies the
+sufficient-decrease inequality f(trial) <= f(x) + c * <grad, trial - x>
 and decreases the objective by at least rel_tol * max(1, |f(x)|).  Every
 iteration's ladder starts at max(previous accepted step / backtracking
-factor, init_step), so the run stops only once a fresh ladder cannot buy a
+factor, init_step).  When no trial of a ladder is accepted the run stops at
+the current point, so it stops only where a fresh ladder cannot buy a
 tolerance-sized decrease; re-solving from a returned solution therefore
 changes the objective by less than the tolerance.
 """
@@ -31,26 +26,14 @@ import numpy as np
 from .field import (
     FunctionalParams,
     Mollifier,
+    Objective,
     TensorField,
     _mask_values,
-    fidelity_energy,
-    from_log_coords,
-    pairwise_energy,
-    phi_kernel_offsets,
-    theta_energy,
 )
-from .spd import (
-    coeff_weights,
-    log_coeffs,
-    project_full,
-    project_full_coeffs,
-    project_log_coeffs,
-    weighted_norm_sq,
-)
+from .spd import coeff_weights, project_full, weighted_norm_sq
 
 _W3 = coeff_weights(3)
 
-_OBJECTIVES = ("f-log-euclidean", "f-euclidean", "fc")
 _GRAD_MODES = ("analytic", "finite-difference")
 _MAX_BACKTRACKS = 60
 
@@ -126,75 +109,6 @@ class SolveReport:
         }
 
 
-class _Objective:
-    """Value/gradient/projection bundle in the coordinates of one objective."""
-
-    def __init__(self, objective: str, data: TensorField, mask_values: np.ndarray,
-                 params: FunctionalParams, mollifier: Mollifier | None):
-        if objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-        self.kind = objective
-        self.params = params
-        self.log_mode = objective == "f-log-euclidean"
-        self.mask_values = mask_values
-        if self.log_mode:
-            self.target = log_coeffs(data.coeffs)
-        else:
-            self.target = data.coeffs
-        if objective == "fc":
-            self.offsets = []
-            self.reg_weight = params.beta
-        else:
-            self.reg_weight = params.alpha
-            if params.alpha > 0.0:
-                self.offsets = phi_kernel_offsets(data.height, data.width, params, mollifier)
-            else:
-                self.offsets = []
-
-    def start(self, init: TensorField) -> np.ndarray:
-        if self.log_mode:
-            x = log_coeffs(init.coeffs)
-            if (weighted_norm_sq(x) > self.params.z ** 2 * (1.0 + 1e-12)).any():
-                x = project_log_coeffs(x, self.params.epsilon, self.params.z)
-            return x
-        return project_full_coeffs(init.coeffs, self.params.epsilon, self.params.z)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        v = fidelity_energy(x, self.target, self.mask_values, self.params.p)
-        if self.reg_weight > 0.0:
-            if self.kind == "fc":
-                v = v + self.reg_weight * theta_energy(x, self.params.p)
-            else:
-                v = v + self.reg_weight * pairwise_energy(x, self.offsets, self.params.p)
-        return v
-
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        v, g = fidelity_energy(x, self.target, self.mask_values, self.params.p,
-                               need_grad=True)
-        if self.reg_weight > 0.0:
-            if self.kind == "fc":
-                vr, gr = theta_energy(x, self.params.p, need_grad=True)
-            else:
-                vr, gr = pairwise_energy(x, self.offsets, self.params.p, need_grad=True)
-            v = v + self.reg_weight * vr
-            g = g + self.reg_weight * gr
-        return float(v), g
-
-    def fd_grad(self, x: np.ndarray, step: float) -> np.ndarray:
-        return _fd_gradient(self.value, x, step,
-                            self.params.z if self.log_mode else None)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        if self.log_mode:
-            return project_log_coeffs(x, self.params.epsilon, self.params.z)
-        return project_full_coeffs(x, self.params.epsilon, self.params.z)
-
-    def finish(self, x: np.ndarray) -> TensorField:
-        if self.log_mode:
-            return from_log_coords(x, self.params.z, self.params.epsilon)
-        return TensorField(x, self.params.z)
-
-
 _FD_CHUNK = 512
 
 
@@ -247,14 +161,7 @@ def grad_F_log(log_field: np.ndarray, data, mask, params: FunctionalParams,
     off-diagonal entries carry the Frobenius chain-rule factor 2.
     """
     L = np.asarray(log_field, dtype=np.float64)
-    target = log_coeffs(data.coeffs) if isinstance(data, TensorField) else np.asarray(data)
-    mask_values = _mask_values(mask, L.shape[-3:-1])
-    _, g = fidelity_energy(L, target, mask_values, params.p, need_grad=True)
-    if params.alpha > 0.0:
-        offsets = phi_kernel_offsets(L.shape[-3], L.shape[-2], params, mollifier)
-        _, gr = pairwise_energy(L, offsets, params.p, need_grad=True)
-        g = g + params.alpha * gr
-    return g
+    return Objective("f-log-euclidean", data, mask, params, mollifier).value_grad(L)[1]
 
 
 def grad_F_fd(log_field: np.ndarray, data, mask, params: FunctionalParams,
@@ -266,18 +173,8 @@ def grad_F_fd(log_field: np.ndarray, data, mask, params: FunctionalParams,
     differences where a perturbation would leave the log-norm ball.
     """
     L = np.asarray(log_field, dtype=np.float64)
-    target = log_coeffs(data.coeffs) if isinstance(data, TensorField) else np.asarray(data)
-    mask_values = _mask_values(mask, L.shape[-3:-1])
-    offsets = (phi_kernel_offsets(L.shape[-3], L.shape[-2], params, mollifier)
-               if params.alpha > 0.0 else [])
-
-    def value(x):
-        v = fidelity_energy(x, target, mask_values, params.p)
-        if params.alpha > 0.0:
-            v = v + params.alpha * pairwise_energy(x, offsets, params.p)
-        return v
-
-    return _fd_gradient(value, L, fd_step, params.z)
+    pack = Objective("f-log-euclidean", data, mask, params, mollifier)
+    return _fd_gradient(pack.value, L, fd_step, params.z)
 
 
 def default_init(data: TensorField, mask, params: FunctionalParams) -> TensorField:
@@ -296,10 +193,10 @@ def solve(data: TensorField, mask, params: FunctionalParams,
           mollifier: Mollifier | None = None) -> tuple[TensorField, SolveReport]:
     """Minimize the chosen objective by projected gradient descent.
 
-    Runs until max_iters, or until an accepted step decreases the objective
-    by less than rel_tol * max(1, |objective|), or until the line search
-    plateaus at floating-point resolution.  The returned trajectory starts
-    at the initial objective and is non-increasing.
+    Runs until max_iters, or until no step of a line search both satisfies
+    the Armijo condition and decreases the objective by rel_tol *
+    max(1, |objective|).  The returned trajectory starts at the initial
+    objective and is non-increasing.
     """
     config = config if config is not None else SolverConfig()
     mask_values = _mask_values(mask, (data.height, data.width))
@@ -310,7 +207,8 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             f"init {init.height}x{init.width} does not match data {data.height}x{data.width}"
         )
     started = time.perf_counter()
-    pack = _Objective(objective, data, mask_values, params, mollifier)
+    pack = Objective(objective, data, mask_values, params, mollifier)
+    ball_z = params.z if pack.log_mode else None
     x = pack.start(init)
     current = float(pack.value(x))
     trajectory = [current]
@@ -320,7 +218,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         if config.grad_mode == "analytic":
             _, grad = pack.value_grad(x)
         else:
-            grad = pack.fd_grad(x, config.fd_step)
+            grad = _fd_gradient(pack.value, x, config.fd_step, ball_z)
         direction = grad / _W3  # Frobenius-geometry descent direction
         if not np.abs(direction).max() > 0.0:
             converged = True  # exact stationary point of a convex objective
@@ -329,28 +227,19 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         step = max(last_accepted_step / config.backtrack_factor, config.init_step)
         accepted = None
         best_trial = np.inf
-        best_candidate = None
         for _ in range(_MAX_BACKTRACKS + 1):
             candidate = pack.project(x - step * direction)
             trial = float(pack.value(candidate))
-            if trial < best_trial:
-                best_trial = trial
-                best_candidate = candidate
+            best_trial = min(best_trial, trial)
             pairing = float((grad * (candidate - x)).sum())
             if current - trial >= threshold and trial <= current + config.armijo_c * pairing:
                 accepted = (candidate, trial, step)
                 break
             step *= config.backtrack_factor
         if accepted is None:
-            # no step buys a tolerance-sized decrease: converged (keeping any
-            # remaining sub-tolerance improvement), unless every trial ascended
-            # beyond floating-point noise, which signals an ill-scaled weight
-            if best_trial <= current:
-                x = best_candidate
-                current = best_trial
-                trajectory.append(current)
-                converged = True
-                break
+            # no trial passed both tests: stop at x, from which a fresh ladder
+            # fails the same way.  That is convergence unless every trial
+            # ascended beyond floating-point noise (an ill-scaled weight)
             if best_trial <= current + _PLATEAU_REL * max(1.0, abs(current)):
                 converged = True
                 break

@@ -430,14 +430,23 @@ def geodesic(a: SpdTensor, b: SpdTensor, t: float) -> SpdTensor:
     return mat_exp(combined)
 
 
+def fa_of_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """FA from a (..., 3) eigenvalue array, clipped into [0, 1].
+
+    Written with pairwise eigenvalue differences, so equal eigenvalues give
+    exactly 0.
+    """
+    l1, l2, l3 = vals[..., 0], vals[..., 1], vals[..., 2]
+    num = (l1 - l2) ** 2 + (l2 - l3) ** 2 + (l1 - l3) ** 2
+    den = 2.0 * (l1 * l1 + l2 * l2 + l3 * l3)
+    return np.clip(np.sqrt(num / den), 0.0, 1.0)
+
+
 def fractional_anisotropy(a: SpdTensor) -> float:
     """FA of a 3x3 SPD tensor, clipped into [0, 1]."""
     if a.dim != 3:
         raise ValueError(f"fractional anisotropy is defined for dim=3, got dim={a.dim}")
-    l1, l2, l3 = a.eig.values
-    num = (l1 - l2) ** 2 + (l2 - l3) ** 2 + (l1 - l3) ** 2
-    den = 2.0 * (l1 * l1 + l2 * l2 + l3 * l3)
-    return float(np.clip(np.sqrt(num / den), 0.0, 1.0))
+    return float(fa_of_eigenvalues(a.eig.values))
 
 
 # ---- batched coefficient-array kernels (dim=3) used by the field modules ----
@@ -472,11 +481,6 @@ def weighted_norm_sq(coeffs: np.ndarray) -> np.ndarray:
     """Squared full-matrix Frobenius norm of a (..., 6) coefficient array."""
     coeffs = np.asarray(coeffs)
     return (coeffs * coeffs) @ _W3
-
-
-def weighted_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product summed over all leading axes."""
-    return float(((np.asarray(a) * np.asarray(b)) @ _W3).sum())
 
 
 def project_full_coeffs(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:

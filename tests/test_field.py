@@ -10,6 +10,7 @@ from dtfield.field import (
     FunctionalParams,
     Mask,
     Mollifier,
+    Objective,
     TensorField,
     build_mollifier,
     fidelity,
@@ -432,12 +433,7 @@ def test_functional_convex_along_segments():
     data_logs = rng.standard_normal((4, 4, 6))
     for p in (1.1, 2.0):
         params = FunctionalParams(p=p, s=0.5, alpha=0.7, l=1, n_rho=2)
-        offsets = phi_kernel_offsets(4, 4, params)
-
-        def objective(logs):
-            fid = fidelity_energy(logs, data_logs, mask_values, p)
-            reg = pairwise_energy(logs, offsets, p)
-            return float(fid + params.alpha * reg)
+        objective = Objective("f-log-euclidean", data_logs, mask_values, params).value
 
         for _ in range(20):
             l1 = rng.standard_normal((4, 4, 6))
@@ -499,3 +495,28 @@ def test_evaluator_gradients_match_finite_differences():
     value, grad = theta_energy(logs, params.p, need_grad=True)
     fd = finite_difference_gradient(lambda x: float(theta_energy(x, params.p)), logs)
     assert np.abs(grad - fd).max() < 1e-7 * max(1.0, np.abs(fd).max())
+
+
+# ---- the Objective bundle ----
+
+def test_objective_value_grad_and_batches_agree_for_every_kind():
+    rng = np.random.default_rng(61)
+    data = random_field(rng, 3, 3)
+    point = random_field(rng, 3, 3)
+    mask = np.ones((3, 3), dtype=bool)
+    mask[2, 0] = False
+    params = FunctionalParams(p=1.5, s=0.5, alpha=0.7, beta=0.4, l=1, n_rho=2)
+    for kind in ("f-log-euclidean", "f-euclidean", "fc"):
+        objective = Objective(kind, data, mask, params)
+        x = objective.start(point)
+        value, grad = objective.value_grad(x)
+        assert value == float(objective.value(x))
+        batch = objective.value(np.stack([x, 0.9 * x]))
+        assert batch[0] == objective.value(x) and batch[1] == objective.value(0.9 * x)
+        fd = finite_difference_gradient(lambda y: float(objective.value(y)), x)
+        assert np.abs(grad - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
+
+
+def test_objective_rejects_mismatched_mask():
+    with pytest.raises(ValueError, match="does not match"):
+        Objective("fc", identity_field(2, 3), Mask.full(3, 2), FunctionalParams())

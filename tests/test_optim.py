@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dtfield.field import FunctionalParams, Mask, TensorField
+from dtfield.field import FunctionalParams, Mask, TensorField, functional_F, functional_FC
 from dtfield.optim import (
     LineSearchError,
     SolveReport,
@@ -21,6 +21,7 @@ from dtfield.spd import (
     log_coeffs,
     weighted_norm_sq,
 )
+from dtfield.synth import NoiseSpec, corrupt_field, make_staircase_phantom
 
 W3 = coeff_weights(3)
 
@@ -237,20 +238,54 @@ def test_trajectory_non_increasing_and_consistent():
     assert report.seconds >= 0.0
 
 
-@pytest.mark.parametrize("objective,params", [
-    ("f-log-euclidean", FunctionalParams(p=1.1, alpha=0.3, s=0.5, l=1, n_rho=2)),
-    ("f-euclidean", FunctionalParams(p=1.3, alpha=0.2, s=0.5, l=1, n_rho=2)),
-    ("fc", FunctionalParams(p=2.0, beta=0.5)),
+def random_5x5():
+    return random_field(5, 5, seed=51, scale=0.5)
+
+
+def noisy_staircase_8x8():
+    return corrupt_field(make_staircase_phantom(8), NoiseSpec(1600, 0))
+
+
+@pytest.mark.parametrize("objective,params,make_data,config", [
+    pytest.param("f-log-euclidean", FunctionalParams(p=1.1, alpha=0.3, s=0.5, l=1, n_rho=2),
+                 random_5x5, SolverConfig(max_iters=5000), id="f-log-euclidean-params0"),
+    pytest.param("f-euclidean", FunctionalParams(p=1.3, alpha=0.2, s=0.5, l=1, n_rho=2),
+                 random_5x5, SolverConfig(max_iters=5000), id="f-euclidean-params1"),
+    pytest.param("fc", FunctionalParams(p=2.0, beta=0.5),
+                 random_5x5, SolverConfig(max_iters=5000), id="fc-params2"),
+    # a p = 1.1 denoise whose last ladder used to end on a large
+    # Armijo-failing trial, from which a fresh ladder still descended
+    pytest.param("f-log-euclidean", FunctionalParams(p=1.1, alpha=2.75, n_rho=3),
+                 noisy_staircase_8x8, SolverConfig(max_iters=100_000, rel_tol=1e-8),
+                 id="staircase8"),
 ])
-def test_resolving_from_solution_is_a_fixed_point(objective, params):
-    data = random_field(5, 5, seed=51, scale=0.5)
-    config = SolverConfig(max_iters=5000)
-    out, report = solve(data, Mask.full(5, 5), params, objective=objective, config=config)
+def test_resolving_from_solution_is_a_fixed_point(objective, params, make_data, config):
+    data = make_data()
+    mask = Mask.full(data.height, data.width)
+    out, report = solve(data, mask, params, objective=objective, config=config)
     assert report.converged
-    again, report2 = solve(data, Mask.full(5, 5), params, objective=objective,
-                           config=config, init=out)
+    again, report2 = solve(data, mask, params, objective=objective, config=config, init=out)
     change = report2.objective_trajectory[0] - report2.final_objective
     assert change < config.rel_tol * max(1.0, abs(report2.objective_trajectory[0]))
+
+
+@pytest.mark.parametrize("objective", ["f-log-euclidean", "f-euclidean", "fc"])
+def test_final_objective_matches_public_functionals(objective):
+    data = random_field(4, 4, seed=52, scale=0.5)
+    mask = np.ones((4, 4), dtype=bool)
+    mask[1, 2] = False
+    params = FunctionalParams(p=1.3, alpha=0.4, beta=0.6, s=0.5, l=1, n_rho=2)
+    out, report = solve(data, Mask(mask), params, objective=objective,
+                        config=SolverConfig(max_iters=20))
+    if objective == "fc":
+        assert report.final_objective == functional_FC(out, data, mask, params)
+    elif objective == "f-euclidean":
+        assert report.final_objective == functional_F(out, data, mask, params, metric="euclidean")
+    else:
+        # the returned field is Exp of the solver's log coordinates, and
+        # Log(Exp(L)) is not bit-exact
+        got = functional_F(out, data, mask, params)
+        assert abs(got - report.final_objective) <= 1e-12 * abs(report.final_objective)
 
 
 def test_p2_solutions_nonexpansive_in_data():
