@@ -110,7 +110,7 @@ _SOLVE_OPTS = [
     Opt("fd-step", _to_float, 1e-6, "finite-difference step size"),
     Opt("armijo-c", _to_float, 1e-4, "line-search sufficient-decrease constant"),
     Opt("backtrack", _to_float, 0.5, "backtracking shrink factor"),
-    Opt("init-step", _to_float, 1.0, "first line-search step"),
+    Opt("init-step", _to_float, 1.0, "fresh line searches start at init-step / backtrack"),
     Opt("rel-tol", _to_float, 1e-8, "relative decrease stopping tolerance"),
 ]
 

@@ -9,12 +9,12 @@ with the full SPD projection after each step.
 
 Steps use Armijo backtracking: a trial point is accepted when it satisfies the
 sufficient-decrease inequality f(trial) <= f(x) + c * <grad, trial - x>
-and decreases the objective by at least rel_tol * max(1, |f(x)|).  Every
-iteration's ladder starts at max(previous accepted step / backtracking
-factor, init_step).  When no trial of a ladder is accepted the run stops at
-the current point, so it stops only where a fresh ladder cannot buy a
-tolerance-sized decrease; re-solving from a returned solution therefore
-changes the objective by less than the tolerance.
+and decreases the objective by at least rel_tol * max(1, |f(x)|).  Ladders
+are warm, starting one backtracking factor above the last accepted step (the
+first at the fresh step init_step / factor).  A run stops only after a fresh
+ladder from the current point also fails; that is the first ladder of a
+re-solve from the result, so re-solving changes the objective by less than
+the tolerance.
 """
 from __future__ import annotations
 
@@ -77,7 +77,8 @@ class SolveReport:
     """Outcome of one solver run.
 
     objective_trajectory[0] is the objective at the initial point; one entry
-    follows per accepted iteration, never increasing.
+    follows per accepted iteration, never increasing.  evaluations counts the
+    objective values: the initial one and one per line-search trial.
     """
 
     iterations: int
@@ -85,6 +86,7 @@ class SolveReport:
     final_objective: float
     converged: bool
     seconds: float
+    evaluations: int = 0
 
     def __post_init__(self):
         traj = [float(v) for v in self.objective_trajectory]
@@ -106,6 +108,7 @@ class SolveReport:
             "final_objective": self.final_objective,
             "converged": self.converged,
             "seconds": self.seconds,
+            "evaluations": self.evaluations,
         }
 
 
@@ -193,10 +196,10 @@ def solve(data: TensorField, mask, params: FunctionalParams,
           mollifier: Mollifier | None = None) -> tuple[TensorField, SolveReport]:
     """Minimize the chosen objective by projected gradient descent.
 
-    Runs until max_iters, or until no step of a line search both satisfies
-    the Armijo condition and decreases the objective by rel_tol *
-    max(1, |objective|).  The returned trajectory starts at the initial
-    objective and is non-increasing.
+    Runs until max_iters, or until no step of the fresh line-search ladder
+    (tried after a failed warm one) both satisfies the Armijo condition and
+    decreases the objective by rel_tol * max(1, |objective|).  The returned
+    trajectory starts at the initial objective and is non-increasing.
     """
     config = config if config is not None else SolverConfig()
     mask_values = _mask_values(mask, (data.height, data.width))
@@ -213,7 +216,8 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     current = float(pack.value(x))
     trajectory = [current]
     converged = False
-    last_accepted_step = config.init_step
+    evaluations = 1
+    start = fresh = config.init_step / config.backtrack_factor
     for iteration in range(config.max_iters):
         if config.grad_mode == "analytic":
             _, grad = pack.value_grad(x)
@@ -224,22 +228,24 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             converged = True  # exact stationary point of a convex objective
             break
         threshold = config.rel_tol * max(1.0, abs(current))
-        step = max(last_accepted_step / config.backtrack_factor, config.init_step)
         accepted = None
         best_trial = np.inf
-        for _ in range(_MAX_BACKTRACKS + 1):
-            candidate = pack.project(x - step * direction)
-            trial = float(pack.value(candidate))
-            best_trial = min(best_trial, trial)
-            pairing = float((grad * (candidate - x)).sum())
-            if current - trial >= threshold and trial <= current + config.armijo_c * pairing:
-                accepted = (candidate, trial, step)
+        for step in (start,) if start == fresh else (start, fresh):  # warm, then fresh
+            for _ in range(_MAX_BACKTRACKS + 1):
+                candidate = pack.project(x - step * direction)
+                trial = float(pack.value(candidate))
+                evaluations += 1
+                best_trial = min(best_trial, trial)
+                armijo = current + config.armijo_c * float((grad * (candidate - x)).sum())
+                if current - trial >= threshold and trial <= armijo:
+                    accepted = (candidate, trial, step / config.backtrack_factor)
+                    break
+                step *= config.backtrack_factor
+            if accepted is not None:
                 break
-            step *= config.backtrack_factor
         if accepted is None:
-            # no trial passed both tests: stop at x, from which a fresh ladder
-            # fails the same way.  That is convergence unless every trial
-            # ascended beyond floating-point noise (an ill-scaled weight)
+            # the fresh ladder failed too, as a re-solve from x would: stop.  That is
+            # convergence unless every trial ascended past rounding (ill-scaled weight)
             if best_trial <= current + _PLATEAU_REL * max(1.0, abs(current)):
                 converged = True
                 break
@@ -248,7 +254,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
                 f"{iteration + 1} (objective {current:.6g}, best trial {best_trial:.6g}); "
                 f"the regularization weight may be ill-scaled"
             )
-        x, current, last_accepted_step = accepted
+        x, current, start = accepted
         trajectory.append(current)
     result = pack.finish(x)
     report = SolveReport(
@@ -257,5 +263,6 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         final_objective=trajectory[-1],
         converged=converged,
         seconds=time.perf_counter() - started,
+        evaluations=evaluations,
     )
     return result, report

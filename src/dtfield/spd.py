@@ -12,7 +12,8 @@ order, pivot threshold |a_pq| > 1e-14 * sqrt(|a_pp * a_qq|), at most 100
 sweeps.  The relative threshold keeps small eigenvalues of heavily graded SPD
 matrices accurate to their own scale.  For 3x3 input the rotations keep the
 eigenvector basis orthogonal to machine precision, and identical input yields
-identical output bytes.
+identical output bytes.  project_full_coeffs decomposes only the elements that
+a decomposition-free certificate cannot prove feasible.
 """
 from __future__ import annotations
 
@@ -27,6 +28,10 @@ _MAX_EXP_EIGENVALUE = 709.782712893384   # log(DBL_MAX); exp overflows above thi
 
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
+
+_CERT_SLACK = 64 * 2.0 ** -53  # certificate: relative rounding bound of its tests
+_CERT_TINY = 2.0 ** -1060      # certificate: absolute (underflow) rounding bound
+_BOX_MARGIN = 1e-12            # certificate box margin: covers rounding of exp(+-z/sqrt 3)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -483,15 +488,42 @@ def weighted_norm_sq(coeffs: np.ndarray) -> np.ndarray:
     return (coeffs * coeffs) @ _W3
 
 
+def _certified_feasible(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:
+    """Mask of (..., 6) 3x3 matrices proven to have every eigenvalue in the box
+    [max(epsilon, e^(-z/sqrt 3)), e^(z/sqrt 3)], which lies in the feasible set.
+
+    Sylvester's minors prove positive definiteness, then lambda_min >= 2 det /
+    ||A||_F^2 and lambda_max <= ||A||_F; each test is moved against passing by
+    more than its float64 rounding error, and non-finite input never passes.
+    """
+    a11, a22, a33, a12, a13, a23 = np.moveaxis(coeffs, -1, 0)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        lo = max(epsilon, np.exp(-z / np.sqrt(3.0))) * (1.0 + _BOX_MARGIN)
+        hi = np.exp(z / np.sqrt(3.0)) * (1.0 - _BOX_MARGIN)
+        minor2 = a11 * a22 - a12 * a12
+        det = (a11 * (a22 * a33 - a23 * a23) - a12 * (a12 * a33 - a13 * a23)
+               + a13 * (a12 * a23 - a13 * a22))
+        det_terms = (np.abs(a11 * a22 * a33) + 2.0 * np.abs(a12 * a13 * a23)
+                     + np.abs(a11) * a23 ** 2 + np.abs(a22) * a13 ** 2 + np.abs(a33) * a12 ** 2)
+        det_lo = det - _CERT_SLACK * det_terms - _CERT_TINY * (1.0 + np.abs(coeffs).max(axis=-1))
+        fro2_hi = (1.0 + _CERT_SLACK) * weighted_norm_sq(coeffs)
+        minor2_err = _CERT_SLACK * (np.abs(a11 * a22) + a12 * a12) + _CERT_TINY
+        return ((a11 > 0.0) & (minor2 > minor2_err) & (det_lo > 0.0)
+                & (2.0 * det_lo >= (1.0 + _CERT_SLACK) * lo * fro2_hi)
+                & (fro2_hi <= (1.0 - _CERT_SLACK) * hi * hi))
+
+
 def project_full_coeffs(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:
-    """project_full applied elementwise to a (..., 6) coefficient array."""
-    vals, vecs = eigh_coeffs(coeffs)
-    clamped = np.maximum(vals, epsilon)
-    logs = np.log(clamped)
-    c = (logs * logs).sum(axis=-1)
-    factor = np.where(c > z * z, z / np.sqrt(np.where(c > 0.0, c, 1.0)), 1.0)
-    newvals = np.exp(logs * factor[..., None])
-    return matrices_to_coeffs(assemble_from_eig(newvals, vecs))
+    """project_full elementwise on (..., 6) coefficients; _certified_feasible ones pass as is."""
+    out = np.array(coeffs, dtype=np.float64)
+    todo = ~_certified_feasible(out, epsilon, z)
+    if todo.any():
+        vals, vecs = eigh_coeffs(out[todo])
+        logs = np.log(np.maximum(vals, epsilon))
+        c = (logs * logs).sum(axis=-1)
+        factor = np.where(c > z * z, z / np.sqrt(np.where(c > 0.0, c, 1.0)), 1.0)
+        out[todo] = matrices_to_coeffs(assemble_from_eig(np.exp(logs * factor[..., None]), vecs))
+    return out
 
 
 def project_log_coeffs(logcoeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:

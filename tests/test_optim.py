@@ -71,12 +71,13 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_report_json_keys():
     report = SolveReport(iterations=2, objective_trajectory=[3.0, 2.0, 1.5],
-                         final_objective=1.5, converged=True, seconds=0.25)
+                         final_objective=1.5, converged=True, seconds=0.25, evaluations=5)
     payload = report.to_json_dict()
     assert list(payload) == ["iterations", "objective_trajectory", "final_objective",
-                             "converged", "seconds"]
+                             "converged", "seconds", "evaluations"]
     assert payload["objective_trajectory"] == [3.0, 2.0, 1.5]
     assert payload["converged"] is True
+    assert payload["evaluations"] == 5
 
 
 def test_report_rejects_increasing_trajectory():
@@ -246,6 +247,21 @@ def noisy_staircase_8x8():
     return corrupt_field(make_staircase_phantom(8), NoiseSpec(1600, 0))
 
 
+@pytest.mark.parametrize("objective,params", [
+    ("f-euclidean", FunctionalParams(p=1.1, alpha=2.75, n_rho=3)),
+    ("fc", FunctionalParams(p=1.1, beta=2.0)),
+])
+def test_warm_ladder_keeps_evaluations_per_iteration_low(objective, params):
+    # each ladder starts one factor above the last accepted step instead of
+    # re-climbing to init_step; the re-climbing solver spent about 18
+    # objective evaluations per iteration on these solves
+    data = corrupt_field(make_staircase_phantom(10), NoiseSpec(1600, 0))
+    _, report = solve(data, Mask.full(10, 10), params, objective=objective,
+                      config=SolverConfig(max_iters=80, rel_tol=1e-15))
+    assert report.iterations == 80
+    assert report.evaluations <= 4 * report.iterations
+
+
 @pytest.mark.parametrize("objective,params,make_data,config", [
     pytest.param("f-log-euclidean", FunctionalParams(p=1.1, alpha=0.3, s=0.5, l=1, n_rho=2),
                  random_5x5, SolverConfig(max_iters=5000), id="f-log-euclidean-params0"),
@@ -258,6 +274,13 @@ def noisy_staircase_8x8():
     pytest.param("f-log-euclidean", FunctionalParams(p=1.1, alpha=2.75, n_rho=3),
                  noisy_staircase_8x8, SolverConfig(max_iters=100_000, rel_tol=1e-8),
                  id="staircase8"),
+    # the comparison objectives stop only after a fresh ladder also fails
+    pytest.param("f-euclidean", FunctionalParams(p=1.1, alpha=2.75, n_rho=3),
+                 noisy_staircase_8x8, SolverConfig(max_iters=100_000, rel_tol=1e-8),
+                 id="staircase8-f-euclidean"),
+    pytest.param("fc", FunctionalParams(p=1.1, beta=2.0),
+                 noisy_staircase_8x8, SolverConfig(max_iters=100_000, rel_tol=1e-8),
+                 id="staircase8-fc"),
 ])
 def test_resolving_from_solution_is_a_fixed_point(objective, params, make_data, config):
     data = make_data()

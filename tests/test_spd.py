@@ -2,6 +2,8 @@
 metrics, projections, geodesics, and fractional anisotropy."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from dtfield.spd import (
     project_spec,
     sym_eig,
     weighted_norm_sq,
+    _certified_feasible,
 )
 
 
@@ -576,6 +579,87 @@ def test_batched_projection_matches_scalar():
         scalar = project_full(coeffs_to_matrices(c[i], 3))
         scale = max(1.0, np.abs(scalar.mat.coeffs).max())
         assert np.abs(pc[i] - scalar.mat.coeffs).max() <= 1e-9 * scale
+
+
+def rotated(rng, eigenvalues):
+    """(n, 6) coefficients of Q diag(eigenvalues) Q^T for random rotations Q."""
+    q, r = np.linalg.qr(rng.standard_normal((len(eigenvalues), 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return matrices_to_coeffs(assemble_from_eig(eigenvalues, q))
+
+
+def certificate_cases(rng, epsilon, z, n=20_000):
+    """Random 3x3 symmetric matrices across scales, gradings, signs and the
+    edges of the box [max(epsilon, e^(-z/sqrt 3)), e^(z/sqrt 3)]."""
+    t = z / np.sqrt(3.0)
+    scale = np.exp(rng.uniform(-z, z, (n, 1)))
+    graded = scale * np.exp(-rng.uniform(0.0, 2.0 * t, (n, 3)))
+    # one eigenvalue just inside or just outside an edge, the others inside;
+    # rotated, and unrotated where the rounding allowance is smallest
+    edges = np.exp(rng.uniform(-t, t, (n, 3)))
+    upper = rng.integers(0, 2, n) == 1
+    rel = rng.choice([-1e-6, -1e-9, -1e-13, 1e-13, 1e-9, 1e-6], n)
+    lo = max(epsilon, np.exp(-t))
+    edges[:, 0] = np.where(upper, np.exp(t) * (1.0 - rel), lo * (1.0 + rel))
+    signs = np.where(rng.uniform(size=(n, 3)) < 0.3, -1.0, 1.0)
+    indefinite = np.exp(rng.uniform(-t, t, (n, 3))) * signs
+    general = rng.standard_normal((n, 6)) * np.exp(rng.uniform(-t, t, (n, 1)))
+    return np.concatenate([rotated(rng, graded), rotated(rng, edges), edges @ np.eye(3, 6),
+                           rotated(rng, indefinite), general])
+
+
+def exactly_in_box(coeffs, lo, hi):
+    """lo <= every eigenvalue <= hi, decided in rational arithmetic: A - lo I
+    and hi I - A must have no negative principal minor."""
+    a = [[Fraction(float(v)) for v in row] for row in coeffs_to_matrices(coeffs)]
+    for sign, shift in ((1, Fraction(float(lo))), (-1, -Fraction(float(hi)))):
+        m = [[sign * a[i][j] - (shift if i == j else 0) for j in range(3)] for i in range(3)]
+        minors = [m[i][i] for i in range(3)]
+        minors += [m[i][i] * m[j][j] - m[i][j] ** 2 for i, j in ((0, 1), (0, 2), (1, 2))]
+        minors.append(m[0][0] * (m[1][1] * m[2][2] - m[1][2] ** 2)
+                      - m[0][1] * (m[0][1] * m[2][2] - m[0][2] * m[1][2])
+                      + m[0][2] * (m[0][1] * m[1][2] - m[0][2] * m[1][1]))
+        if min(minors) < 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("epsilon,z", [
+    (EPSILON_DEFAULT, 36.0), (EPSILON_DEFAULT, 2.0), (1e-3, 36.0), (0.5, 2.0),
+])
+def test_feasibility_certificate_is_sound(epsilon, z):
+    # epsilon 1e-3 and 0.5 lie above e^(-z/sqrt 3), so the floor is the lower edge
+    rng = np.random.default_rng(round(z * 1000 - np.log(epsilon)))
+    coeffs = certificate_cases(rng, epsilon, z)
+    lo, hi = max(epsilon, np.exp(-z / np.sqrt(3.0))), np.exp(z / np.sqrt(3.0))
+    certified = _certified_feasible(coeffs, epsilon, z)
+    assert certified.sum() > 500 and not certified.all()
+    vals = np.linalg.eigvalsh(coeffs_to_matrices(coeffs[certified]))
+    # eigvalsh errs by a few ulps of the largest eigenvalue
+    slack = 8 * np.finfo(float).eps * np.abs(vals).max(axis=-1)
+    assert np.all(vals[:, 0] >= lo - slack) and np.all(vals[:, -1] <= hi + slack)
+    near = (vals[:, 0] < lo + slack) | (vals[:, -1] > hi - slack)
+    assert all(exactly_in_box(c, lo, hi) for c in coeffs[certified][near])
+
+
+def test_projection_skips_only_certified_pixels():
+    rng = np.random.default_rng(33)
+    epsilon, z = EPSILON_DEFAULT, 2.0
+    coeffs = certificate_cases(rng, epsilon, z, n=2000)
+    rng.shuffle(coeffs)
+    certified = _certified_feasible(coeffs, epsilon, z)
+    assert certified.any() and not certified.all()
+    out = project_full_coeffs(coeffs, epsilon, z)
+    assert np.array_equal(out[certified], coeffs[certified])
+    # the rest: clamp at epsilon, then rescale the log spectrum into the ball
+    rest = coeffs[~certified]
+    vals, vecs = np.linalg.eigh(coeffs_to_matrices(rest))
+    logs = np.log(np.maximum(vals, epsilon))
+    norms = np.sqrt((logs * logs).sum(axis=-1))
+    logs *= np.minimum(1.0, z / norms)[:, None]
+    expect = matrices_to_coeffs(assemble_from_eig(np.exp(logs), vecs))
+    scale = np.abs(expect).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(out[~certified] - expect) <= 1e-9 * scale)
 
 
 def test_log_domain_projection_ball_and_identity():
