@@ -108,9 +108,9 @@ _SOLVE_OPTS = [
     Opt("grad-mode", _choice("analytic", "finite-difference"), "analytic",
         "gradient computation route"),
     Opt("fd-step", _to_float, 1e-6, "finite-difference step size"),
-    Opt("armijo-c", _to_float, 1e-4, "line-search sufficient-decrease constant"),
+    Opt("armijo-c", _to_float, 1e-4, "Armijo constant of plain (momentum-free) steps"),
     Opt("backtrack", _to_float, 0.5, "backtracking shrink factor"),
-    Opt("init-step", _to_float, 1.0, "fresh line searches start at init-step / backtrack"),
+    Opt("init-step", _to_float, 1.0, "fresh plain line searches start at init-step / backtrack"),
     Opt("rel-tol", _to_float, 1e-8, "relative decrease stopping tolerance"),
 ]
 

@@ -2,22 +2,28 @@
 
 solve minimizes one of the three objectives of field.Objective.  In
 "f-log-euclidean" the iterate holds per-pixel matrix-log coefficients; in
-these coordinates the objective is convex and the feasible set is the
-Frobenius log-norm ball, so each iteration is a gradient step followed by
-the ball projection.  "f-euclidean" and "fc" iterate on raw coefficients
-with the full SPD projection after each step.
+these coordinates the objective is convex and the feasible set is a product
+of Frobenius log-norm balls, so iterations carry momentum: monotone FISTA
+(Beck & Teboulle) with function-value restart (O'Donoghue & Candes).  A
+momentum step backtracks from y = x + ((t - 1) / t_next) (x - x_prev) until
+f(trial) <= f(y) + <grad, d> + ||d||_F^2 / (2 step), d = trial - y; when
+that trial does not lower f(x) by the tolerance, or no step meets the bound,
+t restarts at 1 and the iteration is redone as a plain step from x.
+"f-euclidean" and "fc" iterate on raw coefficients with the full SPD
+projection after each step; that set is not convex, so they take plain
+steps only.
 
-Steps use Armijo backtracking: a trial point is accepted when it satisfies the
-sufficient-decrease inequality f(trial) <= f(x) + c * <grad, trial - x>
-and decreases the objective by at least rel_tol * max(1, |f(x)|).  Ladders
-are warm, starting one backtracking factor above the last accepted step (the
-first at the fresh step init_step / factor).  A run stops only after a fresh
-ladder from the current point also fails; that is the first ladder of a
-re-solve from the result, so re-solving changes the objective by less than
-the tolerance.
+Plain steps use Armijo backtracking: a trial is accepted when it satisfies
+f(trial) <= f(x) + c * <grad, trial - x> and decreases the objective by at
+least rel_tol * max(1, |f(x)|).  Ladders are warm, starting one backtracking
+factor above the last accepted step (the first at init_step / factor).  A
+run stops only after a plain step's fresh ladder from the current point also
+fails; that is the first ladder of a re-solve from the result, so re-solving
+changes the objective by less than the tolerance.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -78,7 +84,8 @@ class SolveReport:
 
     objective_trajectory[0] is the objective at the initial point; one entry
     follows per accepted iteration, never increasing.  evaluations counts the
-    objective values: the initial one and one per line-search trial.
+    objective values: the initial one and one per line-search trial; restarts
+    counts the momentum steps redone as plain steps.
     """
 
     iterations: int
@@ -87,6 +94,7 @@ class SolveReport:
     converged: bool
     seconds: float
     evaluations: int = 0
+    restarts: int = 0
 
     def __post_init__(self):
         traj = [float(v) for v in self.objective_trajectory]
@@ -109,6 +117,7 @@ class SolveReport:
             "converged": self.converged,
             "seconds": self.seconds,
             "evaluations": self.evaluations,
+            "restarts": self.restarts,
         }
 
 
@@ -196,9 +205,10 @@ def solve(data: TensorField, mask, params: FunctionalParams,
           mollifier: Mollifier | None = None) -> tuple[TensorField, SolveReport]:
     """Minimize the chosen objective by projected gradient descent.
 
-    Runs until max_iters, or until no step of the fresh line-search ladder
-    (tried after a failed warm one) both satisfies the Armijo condition and
-    decreases the objective by rel_tol * max(1, |objective|).  The returned
+    Runs until max_iters, or until no step of a plain step's fresh line-search
+    ladder (tried after a failed warm one) both satisfies the Armijo condition
+    and decreases the objective by rel_tol * max(1, |objective|); momentum
+    steps in log coordinates restart to such plain steps.  The returned
     trajectory starts at the initial objective and is non-increasing.
     """
     config = config if config is not None else SolverConfig()
@@ -212,49 +222,79 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     started = time.perf_counter()
     pack = Objective(objective, data, mask_values, params, mollifier)
     ball_z = params.z if pack.log_mode else None
-    x = pack.start(init)
+
+    def value_grad(point):
+        if config.grad_mode == "analytic":
+            return pack.value_grad(point)
+        return float(pack.value(point)), _fd_gradient(pack.value, point, config.fd_step, ball_z)
+
+    x = x_prev = pack.start(init)
     current = float(pack.value(x))
     trajectory = [current]
     converged = False
     evaluations = 1
+    restarts = 0
+    t = 1.0  # momentum weight; stays 1 (plain steps only) outside log mode
     start = fresh = config.init_step / config.backtrack_factor
     for iteration in range(config.max_iters):
-        if config.grad_mode == "analytic":
-            _, grad = pack.value_grad(x)
-        else:
-            grad = _fd_gradient(pack.value, x, config.fd_step, ball_z)
-        direction = grad / _W3  # Frobenius-geometry descent direction
-        if not np.abs(direction).max() > 0.0:
-            converged = True  # exact stationary point of a convex objective
-            break
         threshold = config.rel_tol * max(1.0, abs(current))
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         accepted = None
-        best_trial = np.inf
-        for step in (start,) if start == fresh else (start, fresh):  # warm, then fresh
+        if t > 1.0:
+            # momentum step from y, accepted under the descent-lemma bound at y
+            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            f_y, grad = value_grad(y)  # comes with the gradient: not counted
+            direction = grad / _W3
+            step = start
             for _ in range(_MAX_BACKTRACKS + 1):
-                candidate = pack.project(x - step * direction)
+                candidate = pack.project(y - step * direction)
                 trial = float(pack.value(candidate))
                 evaluations += 1
-                best_trial = min(best_trial, trial)
-                armijo = current + config.armijo_c * float((grad * (candidate - x)).sum())
-                if current - trial >= threshold and trial <= armijo:
-                    accepted = (candidate, trial, step / config.backtrack_factor)
+                d = candidate - y
+                if trial <= f_y + float((grad * d).sum() + weighted_norm_sq(d).sum() / (2 * step)):
+                    if current - trial >= threshold:
+                        accepted = (candidate, trial, step / config.backtrack_factor)
                     break
                 step *= config.backtrack_factor
-            if accepted is not None:
-                break
+            if accepted is None:  # restart: redo this iteration as a plain step
+                restarts += 1
+                t = 1.0
+                t_next = (1.0 + math.sqrt(5.0)) / 2.0
         if accepted is None:
-            # the fresh ladder failed too, as a re-solve from x would: stop.  That is
-            # convergence unless every trial ascended past rounding (ill-scaled weight)
-            if best_trial <= current + _PLATEAU_REL * max(1.0, abs(current)):
-                converged = True
+            grad = value_grad(x)[1]
+            direction = grad / _W3  # Frobenius-geometry descent direction
+            if not np.abs(direction).max() > 0.0:
+                converged = True  # exact stationary point of a convex objective
                 break
-            raise LineSearchError(
-                f"no acceptable step after {_MAX_BACKTRACKS} backtracks at iteration "
-                f"{iteration + 1} (objective {current:.6g}, best trial {best_trial:.6g}); "
-                f"the regularization weight may be ill-scaled"
-            )
+            best_trial = np.inf
+            for step in (start,) if start == fresh else (start, fresh):  # warm, then fresh
+                for _ in range(_MAX_BACKTRACKS + 1):
+                    candidate = pack.project(x - step * direction)
+                    trial = float(pack.value(candidate))
+                    evaluations += 1
+                    best_trial = min(best_trial, trial)
+                    armijo = current + config.armijo_c * float((grad * (candidate - x)).sum())
+                    if current - trial >= threshold and trial <= armijo:
+                        accepted = (candidate, trial, step / config.backtrack_factor)
+                        break
+                    step *= config.backtrack_factor
+                if accepted is not None:
+                    break
+            if accepted is None:
+                # the fresh ladder failed too, as a re-solve from x would: stop.  That is
+                # convergence unless every trial ascended past rounding (ill-scaled weight)
+                if best_trial <= current + _PLATEAU_REL * max(1.0, abs(current)):
+                    converged = True
+                    break
+                raise LineSearchError(
+                    f"no acceptable step after {_MAX_BACKTRACKS} backtracks at iteration "
+                    f"{iteration + 1} (objective {current:.6g}, best trial {best_trial:.6g}); "
+                    f"the regularization weight may be ill-scaled"
+                )
+        x_prev = x
         x, current, start = accepted
+        if pack.log_mode:
+            t = t_next
         trajectory.append(current)
     result = pack.finish(x)
     report = SolveReport(
@@ -264,5 +304,6 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         converged=converged,
         seconds=time.perf_counter() - started,
         evaluations=evaluations,
+        restarts=restarts,
     )
     return result, report

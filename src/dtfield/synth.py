@@ -160,6 +160,8 @@ def apply_noise(dwis: DwiSet, spec: NoiseSpec, threads: int = 1) -> DwiSet:
     (spec.seed, i * width + j) and consumes one (n1, n2) pair per direction
     in direction order, exactly as sequential add_rician calls would.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if spec.sigma2 == 0.0:
         return dwis
     k, height, width = dwis.images.shape

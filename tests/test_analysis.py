@@ -239,6 +239,8 @@ def test_study_validates_levels():
         convergence_study(phantom, [], params=params, config=config)
     with pytest.raises(ValueError, match="nonnegative"):
         convergence_study(phantom, [2.0, -1.0], params=params, config=config)
+    with pytest.raises(ValueError, match="threads"):
+        convergence_study(phantom, [2.0], params=params, config=config, threads=-1)
 
 
 def test_study_csv_roundtrip():

@@ -47,6 +47,15 @@ def test_generate_thread_count_does_not_change_bytes(tmp_path, capsys):
     assert (a / "dwis.dwi").read_bytes() == (b / "dwis.dwi").read_bytes()
 
 
+def test_generate_rejects_non_positive_threads(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--n", "4", "--sigma2", "900",
+                       "--threads", "-3", "--out", str(out))
+    assert code == 2
+    assert "threads must be >= 1" in err
+    assert not (out / "provenance.json").exists()
+
+
 def test_generate_zero_noise_roundtrips(tmp_path, capsys):
     code, _, _ = run(capsys, "generate", "--n", "4", "--sigma2", "0",
                      "--out", str(tmp_path))

@@ -21,7 +21,12 @@ from dtfield.spd import (
     log_coeffs,
     weighted_norm_sq,
 )
-from dtfield.synth import NoiseSpec, corrupt_field, make_staircase_phantom
+from dtfield.synth import (
+    NoiseSpec,
+    corrupt_field,
+    make_main_direction_phantom,
+    make_staircase_phantom,
+)
 
 W3 = coeff_weights(3)
 
@@ -71,13 +76,15 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_report_json_keys():
     report = SolveReport(iterations=2, objective_trajectory=[3.0, 2.0, 1.5],
-                         final_objective=1.5, converged=True, seconds=0.25, evaluations=5)
+                         final_objective=1.5, converged=True, seconds=0.25, evaluations=5,
+                         restarts=1)
     payload = report.to_json_dict()
     assert list(payload) == ["iterations", "objective_trajectory", "final_objective",
-                             "converged", "seconds", "evaluations"]
+                             "converged", "seconds", "evaluations", "restarts"]
     assert payload["objective_trajectory"] == [3.0, 2.0, 1.5]
     assert payload["converged"] is True
     assert payload["evaluations"] == 5
+    assert payload["restarts"] == 1
 
 
 def test_report_rejects_increasing_trajectory():
@@ -240,11 +247,31 @@ def test_trajectory_non_increasing_and_consistent():
 
 
 def random_5x5():
-    return random_field(5, 5, seed=51, scale=0.5)
+    return random_field(5, 5, seed=51, scale=0.5), Mask.full(5, 5)
 
 
 def noisy_staircase_8x8():
-    return corrupt_field(make_staircase_phantom(8), NoiseSpec(1600, 0))
+    return corrupt_field(make_staircase_phantom(8), NoiseSpec(1600, 0)), Mask.full(8, 8)
+
+
+def noisy_band_16x16_with_hole():
+    """16x16 main-direction phantom with rows 5-10, columns 0-5 missing."""
+    present = np.ones((16, 16), dtype=bool)
+    present[5:11, 0:6] = False
+    data = corrupt_field(make_main_direction_phantom(16), NoiseSpec(1600, 0))
+    return data, Mask(present)
+
+
+def test_momentum_cuts_iterations_to_tolerance():
+    # plain projected gradient took 190 iterations on this p = 2 inpainting
+    # problem; the momentum steps reach the same tolerance in about 52, and
+    # the function-value restart runs along the way
+    data, mask = noisy_band_16x16_with_hole()
+    _, report = solve(data, mask, FunctionalParams(p=2.0, alpha=1.0, n_rho=2),
+                      config=SolverConfig(max_iters=100_000, rel_tol=1e-10))
+    assert report.converged
+    assert report.iterations <= 95
+    assert report.restarts >= 1
 
 
 @pytest.mark.parametrize("objective,params", [
@@ -260,6 +287,7 @@ def test_warm_ladder_keeps_evaluations_per_iteration_low(objective, params):
                       config=SolverConfig(max_iters=80, rel_tol=1e-15))
     assert report.iterations == 80
     assert report.evaluations <= 4 * report.iterations
+    assert report.restarts == 0  # momentum runs in log coordinates only
 
 
 @pytest.mark.parametrize("objective,params,make_data,config", [
@@ -281,10 +309,13 @@ def test_warm_ladder_keeps_evaluations_per_iteration_low(objective, params):
     pytest.param("fc", FunctionalParams(p=1.1, beta=2.0),
                  noisy_staircase_8x8, SolverConfig(max_iters=100_000, rel_tol=1e-8),
                  id="staircase8-fc"),
+    # momentum steps with restarts, and a mask
+    pytest.param("f-log-euclidean", FunctionalParams(p=2.0, alpha=1.0, n_rho=2),
+                 noisy_band_16x16_with_hole, SolverConfig(max_iters=100_000, rel_tol=1e-10),
+                 id="band16-hole"),
 ])
 def test_resolving_from_solution_is_a_fixed_point(objective, params, make_data, config):
-    data = make_data()
-    mask = Mask.full(data.height, data.width)
+    data, mask = make_data()
     out, report = solve(data, mask, params, objective=objective, config=config)
     assert report.converged
     again, report2 = solve(data, mask, params, objective=objective, config=config, init=out)

@@ -234,6 +234,14 @@ def test_apply_noise_matches_sequential_add_rician():
             assert np.allclose(noisy.images[:, i, j], expected, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_apply_noise_rejects_non_positive_threads(threads):
+    dwis = simulate_dwis(random_dti_field(2, 2, seed=6))
+    for sigma2 in (400.0, 0.0):
+        with pytest.raises(ValueError, match="threads"):
+            apply_noise(dwis, NoiseSpec(sigma2, 0), threads)
+
+
 # ---- phantoms ----
 
 def test_staircase_profile():
