@@ -27,16 +27,16 @@ import numpy as np
 from .spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
-    EigenPair,
     SpdTensor,
     SymMat,
+    _log_norm,
     coeff_weights,
+    eigh_coeffs,
     exp_coeffs,
-    jacobi_eigh,
-    coeffs_to_matrices,
     log_coeffs,
     project_full_coeffs,
     project_log_coeffs,
+    sym_eig,
     weighted_norm_sq,
 )
 
@@ -70,14 +70,14 @@ class TensorField:
         bound = float(self.log_bound)
         if not np.isfinite(bound) or bound < 0.0:
             raise ValueError(f"log_bound must be finite and >= 0, got {bound}")
-        vals, _ = jacobi_eigh(coeffs_to_matrices(coeffs, 3))
+        vals, _ = eigh_coeffs(coeffs)
         if vals[..., -1].min() <= 0.0:
             bad = np.unravel_index(int(np.argmin(vals[..., -1])), coeffs.shape[:2])
             raise ValueError(
                 f"pixel (row {bad[0]}, col {bad[1]}) is not positive definite "
                 f"(min eigenvalue {vals[..., -1].min():g}); project the field first"
             )
-        lognorms = np.sqrt((np.log(vals) ** 2).sum(axis=-1))
+        lognorms = _log_norm(vals)
         if lognorms.max() > bound + _BOUND_SLACK:
             bad = np.unravel_index(int(np.argmax(lognorms)), coeffs.shape[:2])
             raise ValueError(
@@ -103,9 +103,8 @@ class TensorField:
 
     def tensor_at(self, row: int, col: int) -> SpdTensor:
         mat = SymMat(self.coeffs[row, col])
-        vals, vecs = jacobi_eigh(mat.matrix)
-        lognorm = float(np.sqrt((np.log(vals) ** 2).sum()))
-        return SpdTensor(mat, max(self.log_bound, lognorm), eig=EigenPair(vals, vecs))
+        eig = sym_eig(mat)
+        return SpdTensor(mat, max(self.log_bound, float(_log_norm(eig.values))), eig=eig)
 
     @classmethod
     def from_tensors(cls, tensors, height: int, width: int,

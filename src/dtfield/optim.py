@@ -36,7 +36,7 @@ from .field import (
     TensorField,
     _mask_values,
 )
-from .spd import coeff_weights, project_full, weighted_norm_sq
+from .spd import coeff_weights, project_full_coeffs, weighted_norm_sq
 
 _W3 = coeff_weights(3)
 
@@ -193,8 +193,7 @@ def default_init(data: TensorField, mask, params: FunctionalParams) -> TensorFie
     """Observed data with every masked-out pixel replaced by project_full(0)."""
     mask_values = _mask_values(mask, (data.height, data.width))
     coeffs = data.coeffs.copy()
-    seed = project_full(np.zeros((3, 3)), params.epsilon, params.z)
-    coeffs[~mask_values] = seed.mat.coeffs
+    coeffs[~mask_values] = project_full_coeffs(np.zeros(6), params.epsilon, params.z)
     return TensorField(coeffs, max(data.log_bound, params.z))
 
 

@@ -14,10 +14,19 @@ matrices accurate to their own scale.  For 3x3 input the rotations keep the
 eigenvector basis orthogonal to machine precision, and identical input yields
 identical output bytes.  project_full_coeffs decomposes only the elements that
 a decomposition-free certificate cannot prove feasible.
+
+The scalar SymMat/SpdTensor API and the batched (..., 6) kernels share one
+private helper per spectral map on (..., m) eigenvalues: _exp_values and
+_log_values (with the overflow and positive-definiteness checks), _clamp (the
+floor), _into_ball (the log-ball rescale), _log_norm, _coeffs_from_eig.  The
+eigensolver is chosen in _exp_eig for exp (mat_exp, exp_coeffs), in _eig_of
+for the other scalar maps and in eigh_coeffs for the other batched ones; all
+three call jacobi_eigh.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,17 +59,23 @@ def coeff_weights(dim: int) -> np.ndarray:
     return np.array([1.0] * dim + [2.0] * (dim * (dim - 1) // 2))
 
 
-_PAIRS3 = coeff_pairs(3)
 _W3 = coeff_weights(3)
+
+
+@lru_cache(maxsize=None)
+def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of the coefficient layout (shared, read-only)."""
+    i, j = np.array(coeff_pairs(dim)).T
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def coeffs_to_matrices(coeffs: np.ndarray, dim: int = 3) -> np.ndarray:
     """(..., n_coeffs) coefficient array -> (..., dim, dim) symmetric matrices."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
+    i, j = _pair_index(dim)
     out = np.zeros(coeffs.shape[:-1] + (dim, dim))
-    for k, (i, j) in enumerate(coeff_pairs(dim)):
-        out[..., i, j] = coeffs[..., k]
-        out[..., j, i] = coeffs[..., k]
+    out[..., i, j] = out[..., j, i] = coeffs
     return out
 
 
@@ -68,13 +83,11 @@ def matrices_to_coeffs(mats: np.ndarray) -> np.ndarray:
     """(..., dim, dim) symmetric matrices -> (..., n_coeffs); averages the halves."""
     mats = np.asarray(mats, dtype=np.float64)
     dim = mats.shape[-1]
-    cols = []
-    for i, j in coeff_pairs(dim):
-        if i == j:
-            cols.append(mats[..., i, i])
-        else:
-            cols.append(0.5 * (mats[..., i, j] + mats[..., j, i]))
-    return np.stack(cols, axis=-1)
+    i, j = _pair_index(dim)
+    out = np.empty(mats.shape[:-2] + (i.size,))
+    out[..., :dim] = mats[..., i[:dim], i[:dim]]
+    out[..., dim:] = 0.5 * (mats[..., i[dim:], j[dim:]] + mats[..., j[dim:], i[dim:]])
+    return out
 
 
 def jacobi_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,6 +183,53 @@ def assemble_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
+# ---- spectral maps on (..., m) eigenvalue arrays, shared by both APIs ----
+
+def _coeffs_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(..., n_coeffs) coefficients of V diag(values) V^T."""
+    return matrices_to_coeffs(assemble_from_eig(values, vectors))
+
+
+def _exp_values(vals: np.ndarray) -> np.ndarray:
+    """exp of eigenvalues; OverflowError where the result would overflow."""
+    if vals.size and vals.max() > _MAX_EXP_EIGENVALUE:
+        raise OverflowError(f"mat_exp overflow: eigenvalue {vals.max():g} exceeds "
+                            f"{_MAX_EXP_EIGENVALUE:g}")
+    return np.exp(vals)
+
+
+def _log_values(vals: np.ndarray, what: str = "matrix log") -> np.ndarray:
+    """log of eigenvalues; NotPositiveDefiniteError unless every one is > 0."""
+    if vals.size and vals.min() <= 0.0:
+        raise NotPositiveDefiniteError(f"{what} requires a positive definite matrix "
+                                       f"(min eigenvalue {vals.min():g})")
+    return np.log(vals)
+
+
+def _clamp(vals: np.ndarray, lo: float, hi: float = np.inf) -> np.ndarray:
+    """Eigenvalues clamped into [lo, hi]: the floor of every projection."""
+    return np.clip(vals, lo, hi)
+
+
+def _into_ball(x: np.ndarray, z: float, sq=None) -> np.ndarray:
+    """Rows of x with squared norm sq > z^2 (default: sum of squares) rescaled onto norm z."""
+    sq = (x * x).sum(axis=-1) if sq is None else sq
+    factor = np.where(sq > z * z, z / np.sqrt(np.where(sq > 0.0, sq, 1.0)), 1.0)
+    return x * factor[..., None]
+
+
+def _log_norm(vals: np.ndarray, what: str = "log-norm") -> np.ndarray:
+    """||Log||_F from (..., m) eigenvalues, one per row."""
+    logs = _log_values(vals, what)
+    return np.sqrt((logs * logs).sum(axis=-1))
+
+
+def _exp_eig(coeffs: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of Exp of (..., n_coeffs) coefficients, for mat_exp and exp_coeffs."""
+    vals, vecs = jacobi_eigh(coeffs_to_matrices(coeffs, dim))
+    return _exp_values(vals), vecs
+
+
 @dataclass(frozen=True, eq=False)
 class SymMat:
     """A real symmetric matrix stored by its independent coefficients."""
@@ -219,11 +279,8 @@ class EigenPair:
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
         vectors = np.array(self.vectors, dtype=np.float64)
-        m = values.shape[0]
-        if values.shape != (m,) or vectors.shape != (m, m):
-            raise ValueError(
-                f"inconsistent eigenpair shapes {values.shape} / {vectors.shape}"
-            )
+        if values.ndim != 1 or vectors.shape != (values.size, values.size):
+            raise ValueError(f"inconsistent eigenpair shapes {values.shape} / {vectors.shape}")
         values.flags.writeable = False
         vectors.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -255,19 +312,15 @@ class SpdTensor:
             raise ValueError(f"certified_log_bound must be finite and >= 0, got {bound}")
         object.__setattr__(self, "certified_log_bound", bound)
         if self.eig is None:
-            vals, vecs = jacobi_eigh(self.mat.matrix)
-            object.__setattr__(self, "eig", EigenPair(vals, vecs))
+            object.__setattr__(self, "eig", sym_eig(self.mat))
+        elif self.eig.values.size != self.dim:
+            raise ValueError(f"eigenpair of size {self.eig.values.size} for dim={self.dim}")
         else:
             residual = assemble_from_eig(self.eig.values, self.eig.vectors) - self.mat.matrix
             norm = np.sqrt((self.mat.matrix ** 2).sum())
             if np.abs(residual).max() > 1e-12 * max(1.0, norm):
                 raise ValueError("eigendecomposition does not reconstruct the matrix")
-        vals = self.eig.values
-        if vals[-1] <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite (min eigenvalue {vals[-1]:g})"
-            )
-        lognorm = float(np.sqrt((np.log(vals) ** 2).sum()))
+        lognorm = float(_log_norm(self.eig.values, "SpdTensor"))
         if lognorm > bound * (1.0 + 1e-12) + 1e-12:
             raise ValueError(
                 f"||Log(mat)||_F = {lognorm:.17g} exceeds certified bound {bound:.17g}"
@@ -284,90 +337,71 @@ class SpdTensor:
 
 def sym_eig(m: SymMat) -> EigenPair:
     """Eigendecomposition of a SymMat (descending values, sign-fixed vectors)."""
-    vals, vecs = jacobi_eigh(m.matrix)
-    return EigenPair(values=vals, vectors=vecs)
+    return EigenPair(*_eig_of(m)[:2])
 
 
 def frobenius(m: SymMat) -> float:
     """Frobenius norm of the full matrix (off-diagonals counted twice)."""
-    w = coeff_weights(m.dim)
-    return float(np.sqrt((w * m.coeffs * m.coeffs).sum()))
+    return float(np.sqrt((coeff_weights(m.dim) * m.coeffs * m.coeffs).sum()))
 
 
 def _spd_from_eig(values: np.ndarray, vectors: np.ndarray, bound: float, dim: int) -> SpdTensor:
-    mat = assemble_from_eig(values, vectors)
-    return SpdTensor(
-        SymMat(matrices_to_coeffs(mat), dim=dim),
-        bound,
-        eig=EigenPair(values, vectors),
-    )
+    mat = SymMat(_coeffs_from_eig(values, vectors), dim=dim)
+    return SpdTensor(mat, bound, eig=EigenPair(values, vectors))
 
 
 def mat_exp(s: SymMat) -> SpdTensor:
     """Matrix exponential of a symmetric matrix; certified bound ||s||_F."""
-    vals, vecs = jacobi_eigh(s.matrix)
-    if vals[0] > _MAX_EXP_EIGENVALUE:
-        raise OverflowError(
-            f"mat_exp overflow: eigenvalue {vals[0]:g} exceeds {_MAX_EXP_EIGENVALUE:g}"
-        )
-    return _spd_from_eig(np.exp(vals), vecs, frobenius(s), s.dim)
+    vals, vecs = _exp_eig(s.coeffs, s.dim)
+    return _spd_from_eig(vals, vecs, frobenius(s), s.dim)
 
 
-def _eig_of(a) -> tuple[np.ndarray, np.ndarray, int]:
+def _sym_of(a, symmetrize: bool = False) -> SymMat:
+    """SymMat of a SpdTensor, SymMat or raw array (symmetrize: take its symmetric part)."""
+    if isinstance(a, SpdTensor):
+        return a.mat
+    if isinstance(a, SymMat):
+        return a
+    return SymMat.from_matrix(a, tol=np.inf if symmetrize else 1e-9)
+
+
+def _eig_of(a, symmetrize: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
     """(values, vectors, dim) of a SpdTensor (cached), SymMat, or raw array."""
     if isinstance(a, SpdTensor):
         return a.eig.values, a.eig.vectors, a.dim
-    if isinstance(a, SymMat):
-        vals, vecs = jacobi_eigh(a.matrix)
-        return vals, vecs, a.dim
-    m = SymMat.from_matrix(np.asarray(a, dtype=np.float64))
-    vals, vecs = jacobi_eigh(m.matrix)
-    return vals, vecs, m.dim
+    m = _sym_of(a, symmetrize)
+    return (*jacobi_eigh(m.matrix), m.dim)
 
 
 def mat_log(a) -> SymMat:
     """Matrix logarithm of a strictly positive definite symmetric matrix."""
     vals, vecs, dim = _eig_of(a)
-    if vals[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"mat_log requires a positive definite matrix (min eigenvalue {vals[-1]:g}); "
-            "project first"
-        )
-    mat = assemble_from_eig(np.log(vals), vecs)
-    return SymMat(matrices_to_coeffs(mat), dim=dim)
+    return SymMat(_coeffs_from_eig(_log_values(vals, "mat_log"), vecs), dim=dim)
+
+
+def _log_pair(a, b) -> tuple[SymMat, SymMat]:
+    la, lb = mat_log(a), mat_log(b)
+    if la.dim != lb.dim:
+        raise ValueError(f"dimension mismatch: {la.dim} vs {lb.dim}")
+    return la, lb
 
 
 def dist_log_euclidean(a, b) -> float:
     """Log-Euclidean distance ||Log A - Log B||_F."""
-    la = mat_log(a)
-    lb = mat_log(b)
-    if la.dim != lb.dim:
-        raise ValueError(f"dimension mismatch: {la.dim} vs {lb.dim}")
-    w = coeff_weights(la.dim)
-    d = la.coeffs - lb.coeffs
-    return float(np.sqrt((w * d * d).sum()))
+    la, lb = _log_pair(a, b)
+    return frobenius(SymMat(la.coeffs - lb.coeffs, dim=la.dim))
 
 
 def dist_affine_invariant(a, b) -> float:
     """Affine-invariant distance ||Log(A^{-1/2} B A^{-1/2})||_F."""
     vals, vecs, dim_a = _eig_of(a)
-    mb = b.mat if isinstance(b, SpdTensor) else (b if isinstance(b, SymMat) else SymMat.from_matrix(b))
+    mb = _sym_of(b)
     if dim_a != mb.dim:
         raise ValueError(f"dimension mismatch: {dim_a} vs {mb.dim}")
-    if vals[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"dist_affine_invariant requires positive definite input "
-            f"(min eigenvalue {vals[-1]:g})"
-        )
+    _log_values(vals, "dist_affine_invariant")  # only the positive-definiteness check
     inv_sqrt = assemble_from_eig(1.0 / np.sqrt(vals), vecs)
-    inner = inv_sqrt @ mb.matrix @ inv_sqrt
-    inner = 0.5 * (inner + inner.T)
-    ivals, _ = jacobi_eigh(inner)
-    if ivals[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"dist_affine_invariant: congruence has min eigenvalue {ivals[-1]:g}"
-        )
-    return float(np.sqrt((np.log(ivals) ** 2).sum()))
+    ivals, _, _ = _eig_of(inv_sqrt @ mb.matrix @ inv_sqrt, symmetrize=True)
+    return float(_log_norm(ivals, "the dist_affine_invariant congruence"))
 
 
 def project_spec(a, lo: float, hi: float = np.inf) -> SpdTensor:
@@ -377,26 +411,14 @@ def project_spec(a, lo: float, hi: float = np.inf) -> SpdTensor:
     the symmetric part is the nearest symmetric matrix, and clamping the
     eigenvalues is the nearest spectrum.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = float(lo), float(hi)
     if not (lo > 0.0):
         raise ValueError(f"lo must be > 0, got {lo}")
     if not (hi >= lo):
         raise ValueError(f"need hi >= lo, got lo={lo}, hi={hi}")
-    if isinstance(a, (SpdTensor, SymMat)):
-        vals, vecs, dim = _eig_of(a)
-    else:
-        arr = np.asarray(a, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite entries")
-        sym = 0.5 * (arr + arr.T)
-        vals, vecs = jacobi_eigh(sym)
-        dim = arr.shape[0]
-    clamped = np.clip(vals, lo, hi)
-    bound = float(np.sqrt((np.log(clamped) ** 2).sum()))
-    return _spd_from_eig(clamped, vecs, bound, dim)
+    vals, vecs, dim = _eig_of(a, symmetrize=True)
+    clamped = _clamp(vals, lo, hi)
+    return _spd_from_eig(clamped, vecs, float(_log_norm(clamped)), dim)
 
 
 def project_log_ball(a: SpdTensor, z: float) -> SpdTensor:
@@ -405,16 +427,11 @@ def project_log_ball(a: SpdTensor, z: float) -> SpdTensor:
     if not (z > 0.0):
         raise ValueError(f"z must be > 0, got {z}")
     vals, vecs, dim = _eig_of(a)
-    if vals[-1] <= 0.0:
-        raise NotPositiveDefiniteError("project_log_ball requires positive definite input")
-    logs = np.log(vals)
+    logs = _log_values(vals, "project_log_ball")
     c = float((logs * logs).sum())
     if c <= z * z:
-        if isinstance(a, SpdTensor):
-            return a
-        return _spd_from_eig(vals, vecs, np.sqrt(c), dim)
-    scaled = logs * (z / np.sqrt(c))
-    return _spd_from_eig(np.exp(scaled), vecs, z, dim)
+        return a if isinstance(a, SpdTensor) else _spd_from_eig(vals, vecs, np.sqrt(c), dim)
+    return _spd_from_eig(_exp_values(_into_ball(logs, z, c)), vecs, z, dim)
 
 
 def project_full(a, epsilon: float = EPSILON_DEFAULT, z: float = LOG_BOUND_DEFAULT) -> SpdTensor:
@@ -427,10 +444,7 @@ def geodesic(a: SpdTensor, b: SpdTensor, t: float) -> SpdTensor:
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    la = mat_log(a)
-    lb = mat_log(b)
-    if la.dim != lb.dim:
-        raise ValueError(f"dimension mismatch: {la.dim} vs {lb.dim}")
+    la, lb = _log_pair(a, b)
     combined = SymMat((1.0 - t) * la.coeffs + t * lb.coeffs, dim=la.dim)
     return mat_exp(combined)
 
@@ -464,22 +478,12 @@ def eigh_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def log_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Matrix log on a (..., 6) coefficient array; all matrices must be SPD."""
     vals, vecs = eigh_coeffs(coeffs)
-    if vals.size and vals[..., -1].min() <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix log of a non-SPD element (min eigenvalue {vals[..., -1].min():g})"
-        )
-    return matrices_to_coeffs(assemble_from_eig(np.log(vals), vecs))
+    return _coeffs_from_eig(_log_values(vals, "log_coeffs"), vecs)
 
 
 def exp_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Matrix exp on a (..., 6) coefficient array of symmetric matrices."""
-    vals, vecs = eigh_coeffs(coeffs)
-    if vals.size and vals[..., 0].max() > _MAX_EXP_EIGENVALUE:
-        raise OverflowError(
-            f"mat_exp overflow: eigenvalue {vals[..., 0].max():g} exceeds "
-            f"{_MAX_EXP_EIGENVALUE:g}"
-        )
-    return matrices_to_coeffs(assemble_from_eig(np.exp(vals), vecs))
+    return _coeffs_from_eig(*_exp_eig(coeffs, 3))
 
 
 def weighted_norm_sq(coeffs: np.ndarray) -> np.ndarray:
@@ -519,10 +523,8 @@ def project_full_coeffs(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndar
     todo = ~_certified_feasible(out, epsilon, z)
     if todo.any():
         vals, vecs = eigh_coeffs(out[todo])
-        logs = np.log(np.maximum(vals, epsilon))
-        c = (logs * logs).sum(axis=-1)
-        factor = np.where(c > z * z, z / np.sqrt(np.where(c > 0.0, c, 1.0)), 1.0)
-        out[todo] = matrices_to_coeffs(assemble_from_eig(np.exp(logs * factor[..., None]), vecs))
+        logs = _log_values(_clamp(vals, epsilon))
+        out[todo] = _coeffs_from_eig(_exp_values(_into_ball(logs, z)), vecs)
     return out
 
 
@@ -540,21 +542,19 @@ def project_log_coeffs(logcoeffs: np.ndarray, epsilon: float, z: float) -> np.nd
 
     def _clamp_then_rescale(sel):
         vals, vecs = eigh_coeffs(sel)
-        cl = np.maximum(vals, log_eps)
-        c = (cl * cl).sum(axis=-1)
-        f = np.where(c > z * z, z / np.sqrt(np.where(c > 0.0, c, 1.0)), 1.0)
-        return matrices_to_coeffs(assemble_from_eig(cl * f[..., None], vecs))
+        return _coeffs_from_eig(_into_ball(_clamp(vals, log_eps), z), vecs)
 
     if z > -log_eps:
         # permissive epsilon: even elements inside the ball may cross the floor
         return _clamp_then_rescale(logcoeffs)
-    norms = np.sqrt(weighted_norm_sq(logcoeffs))
+    sq = weighted_norm_sq(logcoeffs)
+    norms = np.sqrt(sq)
     over = norms > z
     if not over.any():
         return logcoeffs
     out = logcoeffs.copy()
     sel = logcoeffs[over]
-    scaled = sel * (z / norms[over])[..., None]
+    scaled = _into_ball(sel, z, sq[over])
     deep = norms[over] > -log_eps  # only these can have an eigenvalue below log(eps)
     if deep.any():
         scaled[deep] = _clamp_then_rescale(sel[deep])

@@ -166,11 +166,12 @@ def apply_noise(dwis: DwiSet, spec: NoiseSpec, threads: int = 1) -> DwiSet:
         return dwis
     k, height, width = dwis.images.shape
     sigma = math.sqrt(spec.sigma2)
+    seed = int(spec.seed)  # numpy integers would overflow in _pixel_rng's seed % 2**64
 
     def noisy_row(i: int) -> np.ndarray:
         out = np.empty((k, width))
         for j in range(width):
-            draws = _pixel_rng(spec.seed, i * width + j).standard_normal(2 * k) * sigma
+            draws = _pixel_rng(seed, i * width + j).standard_normal(2 * k) * sigma
             out[:, j] = np.hypot(dwis.images[:, i, j] + draws[0::2], draws[1::2])
         return out
 

@@ -75,6 +75,20 @@ def test_coeffs_matrix_roundtrip_batched():
     asym = np.array([[1.0, 2.0, 0.0], [4.0, 5.0, 0.0], [0.0, 0.0, 6.0]])
     c2 = matrices_to_coeffs(asym)
     assert c2[3] == 3.0
+    # elementwise loop reference, every dim; C-contiguous coefficients keep
+    # downstream reductions (weighted_norm_sq) bit-reproducible
+    for dim in range(1, 5):
+        n = dim * (dim + 1) // 2
+        c = rng.standard_normal((2, 3, n))
+        mats = rng.standard_normal((2, 3, dim, dim))
+        ref_m = np.zeros((2, 3, dim, dim))
+        ref_c = np.zeros((2, 3, n))
+        for k, (i, j) in enumerate(coeff_pairs(dim)):
+            ref_m[..., i, j] = ref_m[..., j, i] = c[..., k]
+            ref_c[..., k] = mats[..., i, i] if i == j else 0.5 * (mats[..., i, j] + mats[..., j, i])
+        assert np.array_equal(coeffs_to_matrices(c, dim), ref_m)
+        assert np.array_equal(matrices_to_coeffs(mats), ref_c)
+        assert matrices_to_coeffs(mats).flags.c_contiguous
 
 
 def test_symmat_validation():
@@ -466,6 +480,11 @@ def test_spd_tensor_rejects_bad_certificates():
             5.0,
             eig=EigenPair(np.array([4.0, 1.0, 1.0]), np.eye(3)),
         )
+    with pytest.raises(ValueError, match="eigenpair shapes"):
+        EigenPair(np.array(1.0), np.eye(1))
+    with pytest.raises(ValueError, match="eigenpair of size 2 for dim=3"):
+        SpdTensor(SymMat(np.array([2.0, 1, 1, 0, 0, 0])), 5.0,
+                  eig=EigenPair(np.array([2.0, 1.0]), np.eye(2)))
 
 
 # ---- geodesics ----
@@ -571,14 +590,40 @@ def test_batched_exp_overflow():
         exp_coeffs(c)
 
 
-def test_batched_projection_matches_scalar():
+def graded_log_spectra(rng, n, z=LOG_BOUND_DEFAULT, reach=1.0):
+    """(n, 3) log-spectra with norms spread over (0, reach * z]: random
+    directions, so exp(spectrum) is graded by up to e^(sqrt 2 reach z)."""
+    d = rng.standard_normal((n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return d * (reach * z * rng.uniform(0.0, 1.0, (n, 1)) ** 0.5)
+
+
+@pytest.mark.parametrize("kernel", ["exp", "log", "project_full"])
+def test_batched_kernels_match_scalar(kernel):
     rng = np.random.default_rng(30)
-    c = rng.standard_normal((100, 6)) * 25.0
-    pc = project_full_coeffs(c, EPSILON_DEFAULT, 36.0)
-    for i in range(0, 100, 11):
-        scalar = project_full(coeffs_to_matrices(c[i], 3))
-        scale = max(1.0, np.abs(scalar.mat.coeffs).max())
-        assert np.abs(pc[i] - scalar.mat.coeffs).max() <= 1e-9 * scale
+    spectra = graded_log_spectra(rng, 80)
+    logs = rotated(rng, spectra)
+    tol = 0.0  # exp and log share every step, so they agree bit for bit
+    if kernel == "exp":
+        batched, scalar = exp_coeffs(logs), [mat_exp(SymMat(c)).mat.coeffs for c in logs]
+    elif kernel == "log":
+        # reassembled float64 coefficients keep the smallest eigenvalue
+        # positive only while the spectrum spans less than about e^25
+        spd = exp_coeffs(logs[np.ptp(spectra, axis=1) <= 25.0])
+        batched, scalar = log_coeffs(spd), [mat_log(SymMat(c)).coeffs for c in spd]
+    else:
+        # indefinite and beyond the ball, plus unstructured input; certified
+        # pixels pass the batched path unchanged, so agreement is to rounding
+        signs = np.where(rng.uniform(size=(60, 3)) < 0.3, -1.0, 1.0)
+        raw = np.concatenate([
+            rotated(rng, signs * np.exp(graded_log_spectra(rng, 60, reach=1.5))),
+            rng.standard_normal((40, 6)) * 25.0])
+        batched = project_full_coeffs(raw, EPSILON_DEFAULT, LOG_BOUND_DEFAULT)
+        scalar = [project_full(coeffs_to_matrices(c, 3)).mat.coeffs for c in raw]
+        tol = 1e-9
+    scalar = np.array(scalar)
+    scale = np.maximum(1.0, np.abs(scalar).max(axis=1))
+    assert (np.abs(batched - scalar).max(axis=1) <= tol * scale).all()
 
 
 def rotated(rng, eigenvalues):

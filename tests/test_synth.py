@@ -234,6 +234,15 @@ def test_apply_noise_matches_sequential_add_rician():
             assert np.allclose(noisy.images[:, i, j], expected, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [np.int64(5), np.int64(-1), np.int32(-7),
+                                  np.uint64(2 ** 63 + 5)], ids=str)
+def test_apply_noise_numpy_seed_matches_python_int(seed):
+    dwis = simulate_dwis(random_dti_field(2, 3, seed=6))
+    noisy = apply_noise(dwis, NoiseSpec(400.0, seed))
+    assert np.array_equal(noisy.images, apply_noise(dwis, NoiseSpec(400.0, int(seed))).images)
+    assert not np.array_equal(noisy.images, dwis.images)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_apply_noise_rejects_non_positive_threads(threads):
     dwis = simulate_dwis(random_dti_field(2, 2, seed=6))
