@@ -49,26 +49,12 @@ _OBJECTIVES = {
 }
 
 
-def _to_int(text: str) -> int:
-    return int(text)
-
-
-def _to_float(text: str) -> float:
-    return float(text)
-
-
 def _choice(*names: str) -> Callable[[str], str]:
     def convert(text: str) -> str:
         if text not in names:
             raise ValueError(f"expected one of {', '.join(names)}; got {text!r}")
         return text
     return convert
-
-
-def _objective(text: str) -> str:
-    if text not in _OBJECTIVES:
-        raise ValueError(f"expected one of {', '.join(_OBJECTIVES)}; got {text!r}")
-    return _OBJECTIVES[text]
 
 
 @dataclass(frozen=True)
@@ -83,35 +69,32 @@ class Opt:
 
 _GENERATE_OPTS = [
     Opt("phantom", _choice(*_PHANTOMS), "staircase", "phantom family"),
-    Opt("n", _to_int, 10, "grid side length"),
-    Opt("sigma2", _to_float, 0.0, "Rician noise variance in signal units"),
-    Opt("seed", _to_int, 0, "noise random seed"),
-    Opt("b", _to_float, B_VALUE_DEFAULT, "diffusion weighting b-value"),
-    Opt("a0", _to_float, A0_DEFAULT, "unweighted reference signal"),
-    Opt("z", _to_float, LOG_BOUND_DEFAULT, "log-norm bound of the fitted tensors"),
-    Opt("epsilon", _to_float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
-    Opt("threads", _to_int, 1, "worker threads for noise generation"),
+    Opt("n", int, 10, "grid side length"),
+    Opt("sigma2", float, 0.0, "Rician noise variance in signal units"),
+    Opt("seed", int, 0, "noise random seed"),
+    Opt("b", float, B_VALUE_DEFAULT, "diffusion weighting b-value"),
+    Opt("a0", float, A0_DEFAULT, "unweighted reference signal"),
+    Opt("z", float, LOG_BOUND_DEFAULT, "log-norm bound of the fitted tensors"),
+    Opt("epsilon", float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
+    Opt("threads", int, 1, "worker threads for noise generation"),
 ]
 
 _SOLVE_OPTS = [
-    Opt("objective", _objective, "f-log-euclidean",
+    Opt("objective", _choice(*_OBJECTIVES), "loglog",
         "objective: loglog (metric), euclid, or sobolev"),
-    Opt("p", _to_float, 1.1, "fidelity/regularity exponent"),
-    Opt("s", _to_float, 0.5, "fractional smoothness order"),
-    Opt("alpha", _to_float, 1.0, "metric double-integral weight"),
-    Opt("beta", _to_float, 1.0, "Sobolev comparison weight"),
-    Opt("l", _to_int, 1, "1 = mollifier window, 0 = all pixel pairs"),
-    Opt("nrho", _to_int, 3, "mollifier radius in pixels"),
-    Opt("z", _to_float, LOG_BOUND_DEFAULT, "log-norm bound of the feasible set"),
-    Opt("epsilon", _to_float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
-    Opt("iters", _to_int, 50, "maximum gradient iterations"),
-    Opt("grad-mode", _choice("analytic", "finite-difference"), "analytic",
-        "gradient computation route"),
-    Opt("fd-step", _to_float, 1e-6, "finite-difference step size"),
-    Opt("armijo-c", _to_float, 1e-4, "Armijo constant of plain (momentum-free) steps"),
-    Opt("backtrack", _to_float, 0.5, "backtracking shrink factor"),
-    Opt("init-step", _to_float, 1.0, "fresh plain line searches start at init-step / backtrack"),
-    Opt("rel-tol", _to_float, 1e-8, "relative decrease stopping tolerance"),
+    Opt("p", float, 1.1, "fidelity/regularity exponent"),
+    Opt("s", float, 0.5, "fractional smoothness order"),
+    Opt("alpha", float, 1.0, "metric double-integral weight"),
+    Opt("beta", float, 1.0, "Sobolev comparison weight"),
+    Opt("l", int, 1, "1 = mollifier window, 0 = all pixel pairs"),
+    Opt("nrho", int, 3, "mollifier radius in pixels"),
+    Opt("z", float, LOG_BOUND_DEFAULT, "log-norm bound of the feasible set"),
+    Opt("epsilon", float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
+    Opt("iters", int, 50, "maximum gradient iterations"),
+    Opt("armijo-c", float, 1e-4, "Armijo constant of plain (momentum-free) steps"),
+    Opt("backtrack", float, 0.5, "backtracking shrink factor"),
+    Opt("init-step", float, 1.0, "fresh plain line searches start at init-step / backtrack"),
+    Opt("rel-tol", float, 1e-8, "relative decrease stopping tolerance"),
 ]
 
 
@@ -173,8 +156,7 @@ def _functional_params(values: dict[str, object]) -> FunctionalParams:
 
 
 def _solver_config(values: dict[str, object]) -> SolverConfig:
-    return SolverConfig(max_iters=values["iters"], grad_mode=values["grad-mode"],
-                        fd_step=values["fd-step"], armijo_c=values["armijo-c"],
+    return SolverConfig(max_iters=values["iters"], armijo_c=values["armijo-c"],
                         backtrack_factor=values["backtrack"],
                         init_step=values["init-step"], rel_tol=values["rel-tol"])
 
@@ -250,7 +232,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report_path = f"{out_path}.report.json" if default_report else (
             args.report if token is None else _suffixed(args.report, token))
         rec, report = solve(data, mask, run_params,
-                            objective=values["objective"], config=config)
+                            objective=_OBJECTIVES[values["objective"]], config=config)
         write_field(rec, out_path)
         _write_json({**report.to_json_dict(), "seconds": 0.0}, report_path)
         label = "" if token is None else f"alpha={token}: "

@@ -239,6 +239,9 @@ class FunctionalParams:
     epsilon: float = EPSILON_DEFAULT
 
     def __post_init__(self):
+        for name in ("p", "s", "alpha", "beta", "z", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p > 1.0:
             raise ValueError(f"p must be > 1, got {self.p}")
         if not 0.0 < self.s < 1.0:

@@ -487,8 +487,12 @@ def exp_coeffs(coeffs: np.ndarray) -> np.ndarray:
 
 
 def weighted_norm_sq(coeffs: np.ndarray) -> np.ndarray:
-    """Squared full-matrix Frobenius norm of a (..., 6) coefficient array."""
-    coeffs = np.asarray(coeffs)
+    """Squared full-matrix Frobenius norm of a (..., 6) coefficient array.
+
+    The input is made C-contiguous first: matmul's summation order follows
+    the memory layout, and equal values must give equal bits.
+    """
+    coeffs = np.ascontiguousarray(coeffs)
     return (coeffs * coeffs) @ _W3
 
 

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dtfield.cli import main
+from dtfield.cli import _SOLVE_OPTS, main
 from dtfield.fileio import field_to_text, read_field, write_field
 from dtfield.analysis import log_distance_map
 from dtfield.synth import make_staircase_phantom
@@ -113,6 +114,35 @@ def test_denoise_alpha_zero_returns_input(tmp_path, capsys):
     assert log_distance_map(read_field(tmp_path / "out.dtf"), field).max() < 1e-8
 
 
+def test_denoise_rejects_nan_weight(tmp_path, capsys):
+    # a NaN alpha used to switch the regularizer off and write the input back
+    data = generate(capsys, tmp_path)
+    out = tmp_path / "rec.dtf"
+    code, _, err = run(capsys, "denoise", str(data / "noisy.dtf"), "--alpha", "nan",
+                       "--out", str(out))
+    assert code == 2
+    assert "alpha must be finite" in err
+    assert not out.exists()
+    assert not (tmp_path / "rec.dtf.report.json").exists()
+
+
+def test_advertised_solve_defaults_match_omitted_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["denoise", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    defaults = re.findall(r"--([\w-]+) V .*?\(default: ([^)]+)\)", help_text)
+    assert {name for name, _ in defaults} == {opt.name for opt in _SOLVE_OPTS}
+    data = generate(capsys, tmp_path)
+    explicit = [arg for name, value in defaults for arg in (f"--{name}", value)]
+    for name, extra in (("implicit", []), ("explicit", explicit)):
+        code, _, err = run(capsys, "denoise", str(data / "noisy.dtf"), *extra,
+                           "--out", str(tmp_path / f"{name}.dtf"))
+        assert code == 0, err
+    for suffix in (".dtf", ".dtf.report.json"):
+        assert ((tmp_path / f"implicit{suffix}").read_bytes()
+                == (tmp_path / f"explicit{suffix}").read_bytes())
+
+
 def test_inpaint_full_mask_matches_denoise(tmp_path, capsys):
     data = generate(capsys, tmp_path)
     mask = tmp_path / "full.msk"
@@ -209,6 +239,18 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
         main(["generate", "--config", str(config), "--out", str(tmp_path / "g")])
     assert excinfo.value.code == 2
     assert "flux" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["grad-mode = analytic\n", "fd-step = 1e-6\n"])
+def test_config_removed_solver_keys_exit_2(tmp_path, capsys, line):
+    data = generate(capsys, tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_text(line)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["denoise", str(data / "noisy.dtf"), "--config", str(config),
+              "--out", str(tmp_path / "rec.dtf")])
+    assert excinfo.value.code == 2
+    assert "unknown config key(s)" in capsys.readouterr().err
 
 
 def test_config_malformed_line_exits_2(tmp_path, capsys):

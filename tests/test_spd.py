@@ -91,6 +91,16 @@ def test_coeffs_matrix_roundtrip_batched():
         assert matrices_to_coeffs(mats).flags.c_contiguous
 
 
+def test_weighted_norm_sq_is_independent_of_memory_layout():
+    c = np.random.default_rng(1).standard_normal((64, 64, 6))
+    expected = weighted_norm_sq(c)
+    fortran = np.asfortranarray(c)
+    transposed = np.ascontiguousarray(c.transpose(2, 1, 0)).transpose(2, 1, 0)
+    for layout in (fortran, transposed):
+        assert not layout.flags.c_contiguous
+        assert np.array_equal(weighted_norm_sq(layout), expected)
+
+
 def test_symmat_validation():
     with pytest.raises(ValueError):
         SymMat(np.ones(5), dim=3)
