@@ -62,29 +62,19 @@ def field_log_distance(a, b) -> float:
     return float(log_distance_map(a, b).sum())
 
 
-def column_eigen_profile(w, which: str = "largest") -> np.ndarray:
-    """Per-column mean over rows of the selected eigenvalue, shape (width,)."""
-    if which != "largest":
-        raise ValueError(f"unsupported eigenvalue selector {which!r}")
+def column_eigen_profile(w) -> np.ndarray:
+    """Per-column mean over rows of the largest eigenvalue, shape (width,)."""
     vals, _ = eigh_coeffs(_coeffs_of(w))
     return vals[..., 0].mean(axis=0)
 
 
-@dataclass(frozen=True)
-class ColorScale:
+def _fa_rgb(fa: float) -> tuple[int, int, int]:
     """Linear RGB ramp over fractional anisotropy: 0 -> black, 1 -> light blue."""
-
-    low: tuple[int, int, int] = (0, 0, 0)
-    high: tuple[int, int, int] = (120, 180, 255)
-
-    def rgb(self, fa: float) -> tuple[int, int, int]:
-        t = min(max(float(fa), 0.0), 1.0)
-        return tuple(int(round(lo + t * (hi - lo)))
-                     for lo, hi in zip(self.low, self.high))
+    t = min(max(float(fa), 0.0), 1.0)
+    return tuple(int(round(t * hi)) for hi in (120, 180, 255))
 
 
-def render_svg(w: TensorField, out_path=None,
-               colors: ColorScale | None = None) -> str:
+def render_svg(w: TensorField, out_path=None) -> str:
     """Render one ellipse glyph per pixel into an SVG 1.1 document.
 
     Each glyph shows the two largest eigenvalues as radii (globally
@@ -94,7 +84,6 @@ def render_svg(w: TensorField, out_path=None,
     the input bytes: re-rendering the same field gives identical files.
     Row 0 is drawn at the top; the second tensor axis points down the rows.
     """
-    colors = colors if colors is not None else ColorScale()
     vals, vecs = eigh_coeffs(w.coeffs)
     lam1 = vals[..., 0]
     lam2 = vals[..., 1]
@@ -111,7 +100,7 @@ def render_svg(w: TensorField, out_path=None,
     ]
     for i in range(height):
         for j in range(width):
-            red, green, blue = colors.rgb(float(fa[i, j]))
+            red, green, blue = _fa_rgb(float(fa[i, j]))
             cx = j + 0.5
             cy = i + 0.5
             parts.append(

@@ -91,9 +91,8 @@ _SOLVE_OPTS = [
     Opt("z", float, LOG_BOUND_DEFAULT, "log-norm bound of the feasible set"),
     Opt("epsilon", float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
     Opt("iters", int, 50, "maximum gradient iterations"),
-    Opt("armijo-c", float, 1e-4, "Armijo constant of plain (momentum-free) steps"),
-    Opt("backtrack", float, 0.5, "backtracking shrink factor"),
-    Opt("init-step", float, 1.0, "fresh plain line searches start at init-step / backtrack"),
+    Opt("init-step", float, 1.0,
+        "fresh line searches (the first, and one before a run stops) start at 2 x init-step"),
     Opt("rel-tol", float, 1e-8, "relative decrease stopping tolerance"),
 ]
 
@@ -156,9 +155,8 @@ def _functional_params(values: dict[str, object]) -> FunctionalParams:
 
 
 def _solver_config(values: dict[str, object]) -> SolverConfig:
-    return SolverConfig(max_iters=values["iters"], armijo_c=values["armijo-c"],
-                        backtrack_factor=values["backtrack"],
-                        init_step=values["init-step"], rel_tol=values["rel-tol"])
+    return SolverConfig(max_iters=values["iters"], init_step=values["init-step"],
+                        rel_tol=values["rel-tol"])
 
 
 def _write_json(obj, path: str):

@@ -158,50 +158,12 @@ def _mask_values(mask, shape) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True, eq=False)
-class Mollifier:
-    """Nonnegative radial weights on integer offsets, summing to 1.
+def build_mollifier(n_rho: int) -> np.ndarray:
+    """Bump-profile mollifier weights on the discrete disk of radius n_rho.
 
-    weights[radius + dy, radius + dx] is the weight of offset (dx, dy); the
-    support is exactly the discrete Euclidean disk dx^2 + dy^2 <= radius^2.
-    """
-
-    radius: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        side = 2 * self.radius + 1
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.shape != (side, side):
-            raise ValueError(f"expected {side}x{side} weights, got {weights.shape}")
-        if (weights < 0.0).any():
-            raise ValueError("negative mollifier weight")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {weights.sum():.17g}, expected 1")
-        offs = np.arange(side) - self.radius
-        rsq = offs[:, None] ** 2 + offs[None, :] ** 2
-        inside = rsq <= self.radius ** 2
-        if (weights[~inside] != 0.0).any() or (weights[inside] <= 0.0).any():
-            raise ValueError("support must be exactly the discrete disk")
-        for value in np.unique(rsq[inside]):
-            group = weights[inside & (rsq == value)]
-            if np.abs(group - group[0]).max() > 1e-12 * group[0]:
-                raise ValueError("weights are not radially symmetric")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-
-    def weight(self, dx: int, dy: int) -> float:
-        if abs(dx) > self.radius or abs(dy) > self.radius:
-            return 0.0
-        return float(self.weights[self.radius + dy, self.radius + dx])
-
-
-def build_mollifier(n_rho: int) -> Mollifier:
-    """Bump-profile mollifier on the discrete disk of radius n_rho.
-
-    Weight of offset (dx, dy) is exp(-1/(1 - r^2)) with
+    Returns a (2 n_rho + 1, 2 n_rho + 1) array whose entry
+    [n_rho + dy, n_rho + dx] is the weight of offset (dx, dy):
+    exp(-1/(1 - r^2)) with
     r = sqrt(dx^2 + dy^2)/(n_rho + 1/2) inside the disk dx^2 + dy^2 <= n_rho^2
     and 0 outside, normalized to total mass 1.  The half-pixel margin keeps
     every weight on the disk strictly positive.
@@ -216,7 +178,7 @@ def build_mollifier(n_rho: int) -> Mollifier:
     with np.errstate(divide="ignore", over="ignore"):
         bump = np.exp(-1.0 / (1.0 - r2))
     weights = np.where(inside, bump, 0.0)
-    return Mollifier(n_rho, weights / weights.sum())
+    return weights / weights.sum()
 
 
 @dataclass(frozen=True)
@@ -239,7 +201,7 @@ class FunctionalParams:
     epsilon: float = EPSILON_DEFAULT
 
     def __post_init__(self):
-        for name in ("p", "s", "alpha", "beta", "z", "epsilon"):
+        for name in ("p", "s", "alpha", "beta", "n_rho", "z", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p > 1.0:
@@ -304,8 +266,8 @@ def fidelity_energy(rep: np.ndarray, data_rep: np.ndarray, mask_values: np.ndarr
     return energy, grad
 
 
-def phi_kernel_offsets(height: int, width: int, params: FunctionalParams,
-                       mollifier: Mollifier | None = None) -> list[tuple[int, int, float]]:
+def phi_kernel_offsets(height: int, width: int,
+                       params: FunctionalParams) -> list[tuple[int, int, float]]:
     """Half-plane offset list [(di, dj, kernel)] for the pairwise regularizer.
 
     Each unordered pixel-pair offset appears once (di > 0, or di = 0 and
@@ -315,18 +277,18 @@ def phi_kernel_offsets(height: int, width: int, params: FunctionalParams,
     """
     exponent = 2.0 + params.p * params.s
     if params.l == 1:
-        moll = mollifier if mollifier is not None else build_mollifier(params.n_rho)
-        reach_i, reach_j = min(moll.radius, height - 1), min(moll.radius, width - 1)
-        weight = moll.weight
-    else:
-        reach_i, reach_j = height - 1, width - 1
-        weight = lambda dj, di: 1.0
+        n = int(params.n_rho)
+        weights = build_mollifier(n)
+    else:  # all pairs: a constant window covering every offset of the grid
+        n = max(height, width) - 1
+        weights = np.ones((2 * n + 1, 2 * n + 1))
+    reach_i, reach_j = min(n, height - 1), min(n, width - 1)
     offsets = []
     for di in range(0, reach_i + 1):
         for dj in range(-reach_j, reach_j + 1):
             if di == 0 and dj <= 0:
                 continue
-            rho = weight(dj, di)
+            rho = float(weights[n + di, n + dj])
             if rho == 0.0:
                 continue
             dist = math.sqrt(di * di + dj * dj)
@@ -418,8 +380,7 @@ class Objective:
     TensorField into feasible coordinates and finish maps them back.
     """
 
-    def __init__(self, objective: str, data, mask, params: FunctionalParams,
-                 mollifier: Mollifier | None = None):
+    def __init__(self, objective: str, data, mask, params: FunctionalParams):
         if objective not in _OBJECTIVES:
             raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
         self.kind = objective
@@ -435,14 +396,17 @@ class Objective:
         self.mask_values = _mask_values(mask, (height, width))
         self.reg_weight = params.beta if objective == "fc" else params.alpha
         if objective != "fc" and params.alpha > 0.0:
-            self.offsets = phi_kernel_offsets(height, width, params, mollifier)
+            self.offsets = phi_kernel_offsets(height, width, params)
         else:
             self.offsets = []
 
     def start(self, init: TensorField) -> np.ndarray:
         if self.log_mode:
+            # a pixel can leave the feasible set through the ball or, when
+            # -log(epsilon) < z, through the eigenvalue floor
             x = log_coeffs(init.coeffs)
-            if (weighted_norm_sq(x) > self.params.z ** 2 * (1.0 + 1e-12)).any():
+            reach = min(self.params.z, -math.log(self.params.epsilon))
+            if (weighted_norm_sq(x) > reach ** 2 * (1.0 + 1e-12)).any():
                 x = project_log_coeffs(x, self.params.epsilon, self.params.z)
             return x
         return project_full_coeffs(init.coeffs, self.params.epsilon, self.params.z)
@@ -498,8 +462,7 @@ def fidelity(w: TensorField, data: TensorField, mask, p: float,
 
 
 def phi_regularizer(w: TensorField, params: FunctionalParams,
-                    metric: str = "log-euclidean",
-                    mollifier: Mollifier | None = None) -> float:
+                    metric: str = "log-euclidean") -> float:
     """Metric double-integral regularizer over ordered pixel pairs.
 
     Phi(w) = sum over x != y of d^p(w(x), w(y)) / |x-y|^(2 + p s) weighted by
@@ -507,7 +470,7 @@ def phi_regularizer(w: TensorField, params: FunctionalParams,
     ordered pairs of the double integral are counted.
     """
     rep = _field_rep(w, metric)
-    offsets = phi_kernel_offsets(w.height, w.width, params, mollifier)
+    offsets = phi_kernel_offsets(w.height, w.width, params)
     return float(pairwise_energy(rep, offsets, params.p))
 
 

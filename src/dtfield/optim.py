@@ -10,20 +10,19 @@ iterate on raw coefficients with the full SPD projection after each step;
 that set is not convex, so they take plain steps only.
 
 Every step is one backtracking ladder: trials P(base - step * grad / W),
-the step shrinking by the backtracking factor, until an acceptance rule
-stops the ladder; the stopping trial is accepted if it lowers f(x) by at
-least rel_tol * max(1, |f(x)|).  A momentum step's ladder runs from
+the step halving (_BACKTRACK) until an acceptance rule stops the ladder;
+the stopping trial is accepted if it lowers f(x) by at least
+rel_tol * max(1, |f(x)|).  A momentum step's ladder runs from
 y = x + ((t - 1) / t_next) (x - x_prev) and stops at the descent-lemma bound
 f(trial) <= f(y) + <grad, d> + ||d||_F^2 / (2 step), d = trial - y; when that
 trial is not accepted, or no step meets the bound, t restarts at 1 and the
 iteration is redone as a plain step from x.  A plain step's ladder runs
 from x and stops at a trial that satisfies the Armijo condition
-f(trial) <= f(x) + c * <grad, trial - x> and the decrease.  Ladders are
-warm, starting one backtracking factor above the last accepted step (the
-first at init_step / factor).  A run stops only after a plain step's fresh
-ladder from the current point also fails; that is the first ladder of a
-re-solve from the result, so re-solving changes the objective by less than
-the tolerance.
+f(trial) <= f(x) + c * <grad, trial - x> (c = _ARMIJO_C) and the decrease.
+Ladders are warm, starting at twice the last accepted step (the first at
+twice init_step).  A run stops only after a plain step's fresh ladder from
+the current point also fails; that is the first ladder of a re-solve from
+the result, so re-solving changes the objective by less than the tolerance.
 """
 from __future__ import annotations
 
@@ -34,18 +33,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .field import (
-    FunctionalParams,
-    Mollifier,
-    Objective,
-    TensorField,
-    _mask_values,
-)
+from .field import FunctionalParams, Objective, TensorField, _mask_values
 from .spd import coeff_weights, project_full_coeffs, weighted_norm_sq
 
 _W3 = coeff_weights(3)
 
 _MAX_BACKTRACKS = 60
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of plain steps
+_BACKTRACK = 0.5  # step shrink factor of every ladder
 
 # an unaccepted line search whose best trial does not ascend past this
 # relative slack is a floating-point plateau, i.e. convergence
@@ -61,24 +56,18 @@ class SolverConfig:
     """Projected-gradient solver knobs."""
 
     max_iters: int = 50
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     init_step: float = 1.0
     rel_tol: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        for name in ("armijo_c", "init_step", "rel_tol"):
+        for name in ("init_step", "rel_tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             if not value > 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -119,8 +108,7 @@ class SolveReport:
 _FD_CHUNK = 512
 
 
-def grad_F_log(log_field: np.ndarray, data, mask, params: FunctionalParams,
-               mollifier: Mollifier | None = None) -> np.ndarray:
+def grad_F_log(log_field: np.ndarray, data, mask, params: FunctionalParams) -> np.ndarray:
     """Exact gradient of the log-coordinate objective fidelity + alpha * Phi.
 
     log_field is a (height, width, 6) array of matrix-log coefficients; data
@@ -129,11 +117,11 @@ def grad_F_log(log_field: np.ndarray, data, mask, params: FunctionalParams,
     off-diagonal entries carry the Frobenius chain-rule factor 2.
     """
     L = np.asarray(log_field, dtype=np.float64)
-    return Objective("f-log-euclidean", data, mask, params, mollifier).value_grad(L)[1]
+    return Objective("f-log-euclidean", data, mask, params).value_grad(L)[1]
 
 
 def grad_F_fd(log_field: np.ndarray, data, mask, params: FunctionalParams,
-              mollifier: Mollifier | None = None, fd_step: float = 1e-6) -> np.ndarray:
+              fd_step: float = 1e-6) -> np.ndarray:
     """Finite-difference gradient of the same objective as grad_F_log.
 
     Uses only objective evaluations (an independent route from the analytic
@@ -143,7 +131,7 @@ def grad_F_fd(log_field: np.ndarray, data, mask, params: FunctionalParams,
     coordinates to bound memory.
     """
     L = np.asarray(log_field, dtype=np.float64)
-    value = Objective("f-log-euclidean", data, mask, params, mollifier).value
+    value = Objective("f-log-euclidean", data, mask, params).value
     n = L.size
     flat = L.reshape(-1)
     f_plus = np.empty(n)
@@ -184,8 +172,7 @@ def default_init(data: TensorField, mask, params: FunctionalParams) -> TensorFie
 def solve(data: TensorField, mask, params: FunctionalParams,
           objective: str = "f-log-euclidean",
           config: SolverConfig | None = None,
-          init: TensorField | None = None,
-          mollifier: Mollifier | None = None) -> tuple[TensorField, SolveReport]:
+          init: TensorField | None = None) -> tuple[TensorField, SolveReport]:
     """Minimize the chosen objective by projected gradient descent.
 
     Runs until max_iters, or until no step of a plain step's fresh ladder
@@ -205,7 +192,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             f"init {init.height}x{init.width} does not match data {data.height}x{data.width}"
         )
     started = time.perf_counter()
-    pack = Objective(objective, data, mask_values, params, mollifier)
+    pack = Objective(objective, data, mask_values, params)
 
     def ladder(base, grad, step, stops):
         """Backtrack over the trials P(base - step * grad / W) until
@@ -222,9 +209,9 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             best = min(best, trial)
             if stops(candidate - base, trial, step):
                 if current - trial >= threshold:
-                    return (candidate, trial, step / config.backtrack_factor), best
+                    return (candidate, trial, step / _BACKTRACK), best
                 break
-            step *= config.backtrack_factor
+            step *= _BACKTRACK
         return None, best
 
     x = x_prev = pack.start(init)
@@ -234,7 +221,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     evaluations = 1
     restarts = 0
     t = 1.0  # momentum weight; stays 1 (plain steps only) outside log mode
-    start = fresh = config.init_step / config.backtrack_factor
+    start = fresh = config.init_step / _BACKTRACK
     for iteration in range(config.max_iters):
         threshold = config.rel_tol * max(1.0, abs(current))
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -258,7 +245,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             for step in (start,) if start == fresh else (start, fresh):  # warm, then fresh
                 accepted, best = ladder(x, grad, step, lambda d, trial, _: (
                     current - trial >= threshold
-                    and trial <= current + config.armijo_c * float((grad * d).sum())))
+                    and trial <= current + _ARMIJO_C * float((grad * d).sum())))
                 best_trial = min(best_trial, best)
                 if accepted is not None:
                     break

@@ -535,25 +535,17 @@ def project_full_coeffs(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndar
 def project_log_coeffs(logcoeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:
     """Log-domain equivalent of project_full(Exp(L)): returns Log(P(Exp(L))).
 
-    For ||L||_F <= z nothing can violate either constraint (|eigenvalue| <=
-    ||L||_F <= z < |log epsilon|), so the common case is a no-op.  A violating
-    element with eigenvalues above log(epsilon) is radially rescaled, which
-    needs no eigendecomposition; only elements that also cross the epsilon
+    An element with ||L||_F <= min(z, -log epsilon) violates neither
+    constraint (|eigenvalue| <= ||L||_F), so it is returned unchanged.  Beyond
+    that, an element with ||L||_F <= -log epsilon is radially rescaled, which
+    needs no eigendecomposition; only elements that may cross the epsilon
     floor take the eigenvalue path.
     """
     logcoeffs = np.asarray(logcoeffs, dtype=np.float64)
     log_eps = float(np.log(epsilon))
-
-    def _clamp_then_rescale(sel):
-        vals, vecs = eigh_coeffs(sel)
-        return _coeffs_from_eig(_into_ball(_clamp(vals, log_eps), z), vecs)
-
-    if z > -log_eps:
-        # permissive epsilon: even elements inside the ball may cross the floor
-        return _clamp_then_rescale(logcoeffs)
     sq = weighted_norm_sq(logcoeffs)
     norms = np.sqrt(sq)
-    over = norms > z
+    over = norms > min(z, -log_eps)
     if not over.any():
         return logcoeffs
     out = logcoeffs.copy()
@@ -561,6 +553,7 @@ def project_log_coeffs(logcoeffs: np.ndarray, epsilon: float, z: float) -> np.nd
     scaled = _into_ball(sel, z, sq[over])
     deep = norms[over] > -log_eps  # only these can have an eigenvalue below log(eps)
     if deep.any():
-        scaled[deep] = _clamp_then_rescale(sel[deep])
+        vals, vecs = eigh_coeffs(sel[deep])
+        scaled[deep] = _coeffs_from_eig(_into_ball(_clamp(vals, log_eps), z), vecs)
     out[over] = scaled
     return out

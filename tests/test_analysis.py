@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dtfield.analysis import (
-    ColorScale,
+    _fa_rgb,
     column_eigen_profile,
     convergence_study,
     default_alpha_rule,
@@ -106,24 +106,17 @@ def test_profile_row_permutation_invariant():
     assert np.allclose(column_eigen_profile(shuffled), profile, rtol=1e-12)
 
 
-def test_profile_rejects_unknown_selector():
-    with pytest.raises(ValueError, match="selector"):
-        column_eigen_profile(make_staircase_phantom(4), which="smallest")
-
-
 # ---- color scale ----
 
 def test_colorscale_endpoints_and_clamping():
-    scale = ColorScale()
-    assert scale.rgb(0.0) == (0, 0, 0)
-    assert scale.rgb(1.0) == (120, 180, 255)
-    assert scale.rgb(-0.3) == (0, 0, 0)
-    assert scale.rgb(1.7) == (120, 180, 255)
+    assert _fa_rgb(0.0) == (0, 0, 0)
+    assert _fa_rgb(1.0) == (120, 180, 255)
+    assert _fa_rgb(-0.3) == (0, 0, 0)
+    assert _fa_rgb(1.7) == (120, 180, 255)
 
 
 def test_colorscale_monotone_per_channel():
-    scale = ColorScale()
-    ramp = [scale.rgb(t) for t in np.linspace(0.0, 1.0, 64)]
+    ramp = [_fa_rgb(t) for t in np.linspace(0.0, 1.0, 64)]
     for channel in range(3):
         series = [c[channel] for c in ramp]
         assert all(b >= a for a, b in zip(series, series[1:]))

@@ -11,6 +11,7 @@ import pytest
 from dtfield.cli import _SOLVE_OPTS, main
 from dtfield.fileio import field_to_text, read_field, write_field
 from dtfield.analysis import log_distance_map
+from dtfield.spd import eigh_coeffs
 from dtfield.synth import make_staircase_phantom
 
 
@@ -124,6 +125,27 @@ def test_denoise_rejects_nan_weight(tmp_path, capsys):
     assert "alpha must be finite" in err
     assert not out.exists()
     assert not (tmp_path / "rec.dtf.report.json").exists()
+
+
+def test_denoise_epsilon_above_data_floor_starts_feasible(tmp_path, capsys):
+    # the README data has eigenvalues down to 2.2e-4: with --epsilon 1e-3 the
+    # log-domain start must be projected onto the floor, or the first
+    # projected trial lands far above the infeasible start and the solve
+    # exits 3 with a line-search error
+    code, _, err = run(capsys, "generate", "--phantom", "staircase", "--n", "10",
+                       "--sigma2", "1600", "--seed", "0", "--out", str(tmp_path))
+    assert code == 0, err
+    noisy = read_field(tmp_path / "noisy.dtf")
+    assert eigh_coeffs(noisy.coeffs)[0].min() < 1e-3
+    out = tmp_path / "rec.dtf"
+    code, _, err = run(capsys, "denoise", str(tmp_path / "noisy.dtf"), "--epsilon", "1e-3",
+                       "--iters", "40", "--out", str(out))
+    assert code == 0, err
+    report = json.loads((tmp_path / "rec.dtf.report.json").read_text())
+    trajectory = report["objective_trajectory"]
+    assert report["iterations"] == 40
+    assert all(b <= a for a, b in zip(trajectory, trajectory[1:]))
+    assert eigh_coeffs(read_field(out).coeffs)[0].min() >= 1e-3 * (1.0 - 1e-12)
 
 
 def test_advertised_solve_defaults_match_omitted_flags(tmp_path, capsys):
@@ -241,7 +263,8 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "flux" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["grad-mode = analytic\n", "fd-step = 1e-6\n"])
+@pytest.mark.parametrize("line", ["grad-mode = analytic\n", "fd-step = 1e-6\n",
+                                  "armijo-c = 1e-4\n", "backtrack = 0.5\n"])
 def test_config_removed_solver_keys_exit_2(tmp_path, capsys, line):
     data = generate(capsys, tmp_path)
     config = tmp_path / "run.conf"

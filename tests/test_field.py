@@ -9,7 +9,6 @@ import pytest
 from dtfield.field import (
     FunctionalParams,
     Mask,
-    Mollifier,
     Objective,
     TensorField,
     build_mollifier,
@@ -59,7 +58,8 @@ I_COEFFS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 def brute_force_phi(w: TensorField, params: FunctionalParams, metric: str) -> float:
     """Quadruple loop over all ordered pixel pairs; independent oracle."""
-    moll = build_mollifier(params.n_rho) if params.l == 1 else None
+    n = params.n_rho
+    moll = build_mollifier(n) if params.l == 1 else None
     tensors = [[w.tensor_at(r, c) for c in range(w.width)] for r in range(w.height)]
     total = 0.0
     for y1 in range(w.height):
@@ -70,9 +70,10 @@ def brute_force_phi(w: TensorField, params: FunctionalParams, metric: str) -> fl
                         continue
                     weight = 1.0
                     if moll is not None:
-                        weight = moll.weight(x2 - x1, y2 - y1)
-                        if weight == 0.0:
+                        dx, dy = x2 - x1, y2 - y1
+                        if max(abs(dx), abs(dy)) > n or moll[n + dy, n + dx] == 0.0:
                             continue
+                        weight = moll[n + dy, n + dx]
                     a, b = tensors[y1][x1], tensors[y2][x2]
                     if metric == "log-euclidean":
                         d = dist_log_euclidean(a, b)
@@ -85,46 +86,51 @@ def brute_force_phi(w: TensorField, params: FunctionalParams, metric: str) -> fl
 
 # ---- mollifier ----
 
+# build_mollifier(n)[n + dy, n + dx] is the weight of offset (dx, dy)
+
 def test_mollifier_radius_one_support():
     m = build_mollifier(1)
-    assert (m.weights > 0).sum() == 5
-    assert m.weights[0, 0] == 0.0  # corner outside the unit disk
-    assert abs(m.weights.sum() - 1.0) < 1e-12
+    assert m.shape == (3, 3)
+    assert (m > 0).sum() == 5
+    assert m[0, 0] == 0.0  # corner outside the unit disk
+    assert abs(m.sum() - 1.0) < 1e-12
 
 
 def test_mollifier_radius_two_support():
     m = build_mollifier(2)
+    assert m.shape == (5, 5)
     # offsets with dx^2+dy^2 <= 4: center, 4 axis units, 4 diagonals, 4 axis twos
-    assert (m.weights > 0).sum() == 13
+    assert (m > 0).sum() == 13
+    offs = np.arange(-2, 3)
+    assert np.array_equal(m > 0, offs[:, None] ** 2 + offs[None, :] ** 2 <= 4)
 
 
 def test_mollifier_symmetries():
     for n in (1, 2, 3):
         m = build_mollifier(n)
-        for dx in range(-n, n + 1):
-            for dy in range(-n, n + 1):
-                w = m.weight(dx, dy)
-                assert w == m.weight(-dx, dy) == m.weight(dx, -dy) == m.weight(dy, dx)
+        # dx -> -dx, dy -> -dy, and the swap dx <-> dy
+        assert np.array_equal(m, m[:, ::-1])
+        assert np.array_equal(m, m[::-1, :])
+        assert np.array_equal(m, m.T)
 
 
 def test_mollifier_normalization_all_radii():
     for n in range(1, 10):
-        assert abs(build_mollifier(n).weights.sum() - 1.0) < 1e-12
+        m = build_mollifier(n)
+        assert (m >= 0.0).all()
+        assert abs(m.sum() - 1.0) < 1e-12
 
 
 def test_mollifier_monotone_in_radius():
     m = build_mollifier(3)
-    center = m.weight(0, 0)
-    assert center > m.weight(1, 0) > m.weight(2, 0) > m.weight(3, 0) > 0.0
+    center = m[3, 3]
+    assert center > m[3, 4] > m[3, 5] > m[3, 6] > 0.0
 
 
 def test_mollifier_validation():
-    with pytest.raises(ValueError):
-        Mollifier(1, np.full((3, 3), 1.0 / 9.0))  # corners break disk support
-    bad = build_mollifier(1).weights.copy()
-    bad[1, 1] += 0.1
-    with pytest.raises(ValueError):
-        Mollifier(1, bad)  # sum != 1
+    for n_rho in (0, -1):
+        with pytest.raises(ValueError, match="n_rho must be >= 1"):
+            build_mollifier(n_rho)
 
 
 # ---- containers ----
@@ -298,20 +304,25 @@ def test_phi_euclidean_scale_invariance_fails():
 
 
 def test_phi_mollifier_gating_consistency():
-    # constant kernel on a disk covering the whole field: the windowed sum
-    # must equal the all-pairs sum scaled by the constant weight
+    # a window covering the whole field gates no pair: with the mollifier
+    # weights replaced by a constant, the windowed sum must equal the
+    # all-pairs sum scaled by that constant
     rng = np.random.default_rng(51)
     w = random_field(rng, 3, 3)
     radius = 4  # covers the 3x3 diameter
-    side = 2 * radius + 1
-    offs = np.arange(side) - radius
-    inside = (offs[:, None] ** 2 + offs[None, :] ** 2) <= radius ** 2
-    constant = Mollifier(radius, np.where(inside, 1.0 / inside.sum(), 0.0))
     params1 = FunctionalParams(p=1.3, s=0.5, l=1, n_rho=radius)
     params0 = FunctionalParams(p=1.3, s=0.5, l=0)
-    windowed = phi_regularizer(w, params1, mollifier=constant)
+    windowed = phi_kernel_offsets(3, 3, params1)
+    rho = build_mollifier(radius)
+    exponent = 2.0 + params1.p * params1.s
+    for di, dj, kernel in windowed:
+        expected = rho[radius + di, radius + dj] / math.hypot(di, dj) ** exponent
+        assert kernel == pytest.approx(expected, rel=1e-14)
+    weight = 1.0 / 41.0  # uniform over the 41 offsets of the radius-4 disk
+    constant = [(di, dj, weight / math.hypot(di, dj) ** exponent) for di, dj, _ in windowed]
+    gated = pairwise_energy(to_log_coords(w), constant, params1.p)
     allpairs = phi_regularizer(w, params0)
-    assert abs(windowed * inside.sum() - allpairs) <= 1e-11 * max(1.0, allpairs)
+    assert abs(gated / weight - allpairs) <= 1e-11 * max(1.0, allpairs)
 
 
 # ---- functional F ----

@@ -58,8 +58,6 @@ def summed_log_distance(a, b):
 def test_config_defaults():
     config = SolverConfig()
     assert config.max_iters == 50
-    assert config.armijo_c == 1e-4
-    assert config.backtrack_factor == 0.5
     assert config.init_step == 1.0
     assert config.rel_tol == 1e-8
 
@@ -67,9 +65,6 @@ def test_config_defaults():
 @pytest.mark.parametrize("kwargs", [
     {"max_iters": 0},
     {"max_iters": 2.5},
-    {"armijo_c": -1.0},
-    {"backtrack_factor": 1.0},
-    {"backtrack_factor": 0.0},
     {"init_step": 0.0},
     {"rel_tol": -1e-8},
 ])
@@ -79,9 +74,10 @@ def test_config_rejects_bad_values(kwargs):
 
 
 @pytest.mark.parametrize("cls,name", [
-    (SolverConfig, "armijo_c"), (SolverConfig, "init_step"), (SolverConfig, "rel_tol"),
+    (SolverConfig, "init_step"), (SolverConfig, "rel_tol"),
     (FunctionalParams, "p"), (FunctionalParams, "s"), (FunctionalParams, "alpha"),
-    (FunctionalParams, "beta"), (FunctionalParams, "z"), (FunctionalParams, "epsilon"),
+    (FunctionalParams, "beta"), (FunctionalParams, "n_rho"), (FunctionalParams, "z"),
+    (FunctionalParams, "epsilon"),
 ])
 def test_parameters_reject_non_finite_values(cls, name):
     # a NaN weight used to switch its regularizer off silently, and an

@@ -744,6 +744,29 @@ def test_log_domain_projection_matches_matrix_domain():
     assert (np.sqrt(weighted_norm_sq(logs)) > z).any()  # the check did real work
 
 
+def test_log_domain_projection_permissive_epsilon():
+    # -log(epsilon) < z: the floor binds first.  Elements within both bounds
+    # come back bit-identical; the rest match an eigendecomposition reference
+    rng = np.random.default_rng(33)
+    epsilon, z = 1e-3, 36.0
+    log_eps = np.log(epsilon)
+    logs = rng.standard_normal((300, 6))
+    norms = np.sqrt(weighted_norm_sq(logs))
+    logs = logs * (rng.uniform(0.5, 45.0, 300) / norms)[:, None]
+    projected = project_log_coeffs(logs, epsilon, z)
+    inside = np.sqrt(weighted_norm_sq(logs)) <= -log_eps
+    assert inside.any() and (~inside).any()
+    assert np.array_equal(projected[inside], logs[inside])
+    vals, vecs = np.linalg.eigh(coeffs_to_matrices(logs[~inside], 3))
+    vals = np.maximum(vals, log_eps)
+    vnorm = np.sqrt((vals ** 2).sum(axis=-1, keepdims=True))
+    vals = np.where(vnorm > z, vals * (z / vnorm), vals)
+    expect = matrices_to_coeffs(np.einsum("nij,nj,nkj->nik", vecs, vals, vecs))
+    assert np.abs(projected[~inside] - expect).max() < 1e-12 * z
+    floor = np.linalg.eigvalsh(coeffs_to_matrices(projected, 3)).min()
+    assert floor >= log_eps - 1e-12 * z
+
+
 def test_log_domain_projection_deep_clamp_path():
     # one eigenvalue far below log(epsilon): the epsilon floor must engage
     logs = np.array([[-90.0, 1.0, 2.0, 0.0, 0.0, 0.0]])
