@@ -12,20 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FunctionalParams, Mask, TensorField
+from .field import FunctionalParams, Mask, TensorField, _grid_coeffs
+from .fileio import _write
 from .optim import SolverConfig, solve
 from .spd import eigh_coeffs, fa_of_eigenvalues, log_coeffs, weighted_norm_sq
 from .synth import NoiseSpec, corrupt_field
 
 _GLYPH_CELL_PX = 40
 _MAX_GLYPH_RADIUS = 0.45
-
-
-def _coeffs_of(w) -> np.ndarray:
-    coeffs = w.coeffs if isinstance(w, TensorField) else np.asarray(w, dtype=np.float64)
-    if coeffs.ndim != 3 or coeffs.shape[-1] != 6:
-        raise ValueError(f"expected a (height, width, 6) field, got shape {coeffs.shape}")
-    return coeffs
 
 
 def snr(orig, rec) -> float:
@@ -35,8 +29,8 @@ def snr(orig, rec) -> float:
     sqrt(sum over pixels of ||.||_F^2).  Returns +infinity when the two
     fields are identical; raises ValueError for a zero original field.
     """
-    a = _coeffs_of(orig)
-    b = _coeffs_of(rec)
+    a = _grid_coeffs(orig)
+    b = _grid_coeffs(rec)
     if a.shape != b.shape:
         raise ValueError(f"field shapes differ: {a.shape} vs {b.shape}")
     signal_sq = float(weighted_norm_sq(a).sum())
@@ -50,8 +44,8 @@ def snr(orig, rec) -> float:
 
 def log_distance_map(a, b) -> np.ndarray:
     """Per-pixel log-metric distance between two fields, shape (height, width)."""
-    la = log_coeffs(_coeffs_of(a))
-    lb = log_coeffs(_coeffs_of(b))
+    la = log_coeffs(_grid_coeffs(a))
+    lb = log_coeffs(_grid_coeffs(b))
     if la.shape != lb.shape:
         raise ValueError(f"field shapes differ: {la.shape} vs {lb.shape}")
     return np.sqrt(weighted_norm_sq(la - lb))
@@ -64,7 +58,7 @@ def field_log_distance(a, b) -> float:
 
 def column_eigen_profile(w) -> np.ndarray:
     """Per-column mean over rows of the largest eigenvalue, shape (width,)."""
-    vals, _ = eigh_coeffs(_coeffs_of(w))
+    vals, _ = eigh_coeffs(_grid_coeffs(w))
     return vals[..., 0].mean(axis=0)
 
 
@@ -112,8 +106,7 @@ def render_svg(w: TensorField, out_path=None) -> str:
     parts.append("</svg>")
     document = "\n".join(parts) + "\n"
     if out_path is not None:
-        with open(out_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(document)
+        _write(out_path, document)
     return document
 
 

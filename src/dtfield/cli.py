@@ -24,7 +24,7 @@ from typing import Callable
 from .analysis import column_eigen_profile, render_svg, snr
 from .field import FunctionalParams, Mask
 from .optim import LineSearchError, SolverConfig, solve
-from .fileio import read_field, read_mask, write_dwis, write_field
+from .fileio import _write, read_field, read_mask, write_dwis, write_field
 from .spd import EPSILON_DEFAULT, LOG_BOUND_DEFAULT
 from .synth import (
     A0_DEFAULT,
@@ -160,13 +160,7 @@ def _solver_config(values: dict[str, object]) -> SolverConfig:
 
 
 def _write_json(obj, path: str):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_text(text: str, path: str):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 # ---- commands ----
@@ -245,8 +239,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"SNR {snr(original, reconstruction)!r}")
     if args.profile_out:
         profile = column_eigen_profile(reconstruction)
-        _write_text("".join(f"{j},{float(value)!r}\n" for j, value in enumerate(profile)),
-                    args.profile_out)
+        _write(args.profile_out,
+               "".join(f"{j},{float(value)!r}\n" for j, value in enumerate(profile)))
     return 0
 
 

@@ -29,8 +29,9 @@ from .spd import (
     LOG_BOUND_DEFAULT,
     SpdTensor,
     SymMat,
+    _W3,
+    _check_floor_in_ball,
     _log_norm,
-    coeff_weights,
     eigh_coeffs,
     exp_coeffs,
     log_coeffs,
@@ -39,8 +40,6 @@ from .spd import (
     sym_eig,
     weighted_norm_sq,
 )
-
-_W3 = coeff_weights(3)
 
 # absolute slack on per-pixel log-norms: reassembled float64 coefficients of
 # a tensor on the ball boundary can overshoot the bound by rounding
@@ -120,6 +119,14 @@ class TensorField:
         if log_bound is None:
             log_bound = max(t.certified_log_bound for t in tensors)
         return cls(coeffs, log_bound)
+
+
+def _grid_coeffs(w) -> np.ndarray:
+    """(height, width, 6) coefficients of a TensorField or a raw array."""
+    coeffs = w.coeffs if isinstance(w, TensorField) else np.asarray(w, dtype=np.float64)
+    if coeffs.ndim != 3 or coeffs.shape[-1] != 6:
+        raise ValueError(f"expected (height, width, 6) coefficients, got {coeffs.shape}")
+    return coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +227,7 @@ class FunctionalParams:
             raise ValueError(f"z must be > 0, got {self.z}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        _check_floor_in_ball(self.epsilon, self.z)
 
 
 _METRICS = ("log-euclidean", "euclidean")
@@ -485,10 +493,7 @@ def functional_F(w: TensorField, data: TensorField, mask, params: FunctionalPara
 
 def theta_regularizer(w, p: float) -> float:
     """Sobolev comparison regularizer on a TensorField or raw coefficients."""
-    coeffs = w.coeffs if isinstance(w, TensorField) else np.asarray(w, dtype=np.float64)
-    if coeffs.ndim != 3 or coeffs.shape[-1] != 6:
-        raise ValueError(f"expected (height, width, 6) coefficients, got {coeffs.shape}")
-    return float(theta_energy(coeffs, p))
+    return float(theta_energy(_grid_coeffs(w), p))
 
 
 def functional_FC(w: TensorField, data: TensorField, mask,
@@ -511,8 +516,5 @@ def from_log_coords(log_field: np.ndarray, z: float = LOG_BOUND_DEFAULT,
     projected (eigenvalue floor epsilon, then log-ball rescale) first, which
     keeps Exp finite for any finite input.
     """
-    log_field = np.asarray(log_field, dtype=np.float64)
-    if log_field.ndim != 3 or log_field.shape[-1] != 6:
-        raise ValueError(f"expected (height, width, 6) log coefficients, got {log_field.shape}")
-    projected = project_log_coeffs(log_field, epsilon, z)
+    projected = project_log_coeffs(_grid_coeffs(log_field), epsilon, z)
     return TensorField(exp_coeffs(projected), z)

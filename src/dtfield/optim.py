@@ -34,9 +34,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .field import FunctionalParams, Objective, TensorField, _mask_values
-from .spd import coeff_weights, project_full_coeffs, weighted_norm_sq
+from .spd import _W3, project_full_coeffs, weighted_norm_sq
 
-_W3 = coeff_weights(3)
 
 _MAX_BACKTRACKS = 60
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of plain steps

@@ -1,27 +1,25 @@
 """Symmetric-matrix kernel: eigendecomposition, exp/log, metrics, projections.
 
-Everything in this package ultimately reduces to operations on small real
-symmetric matrices.  A symmetric dim x dim matrix is stored as its
-dim*(dim+1)/2 independent coefficients, diagonal first and then the upper
-triangle row-major; for dim=3 that is [a11, a22, a33, a12, a13, a23].
-Frobenius norms are always taken over the full matrix, so off-diagonal
-coefficients carry weight 2 in every inner product.
+Every tensor is a real symmetric 3x3 matrix stored as its six independent
+coefficients [a11, a22, a33, a12, a13, a23]: the diagonal, then the upper
+triangle row-major.  Frobenius norms are taken over the full matrix, so
+off-diagonal coefficients carry weight 2 in every inner product.
 
 Eigendecompositions use batched cyclic Jacobi rotations: deterministic pivot
 order, pivot threshold |a_pq| > 1e-14 * sqrt(|a_pp * a_qq|), at most 100
 sweeps.  The relative threshold keeps small eigenvalues of heavily graded SPD
 matrices accurate to their own scale.  For 3x3 input the rotations keep the
 eigenvector basis orthogonal to machine precision, and identical input yields
-identical output bytes.  project_full_coeffs decomposes only the elements that
-a decomposition-free certificate cannot prove feasible.
+identical output bytes.
 
-The scalar SymMat/SpdTensor API and the batched (..., 6) kernels share one
-private helper per spectral map on (..., m) eigenvalues: _exp_values and
-_log_values (with the overflow and positive-definiteness checks), _clamp (the
-floor), _into_ball (the log-ball rescale), _log_norm, _coeffs_from_eig.  The
-eigensolver is chosen in _exp_eig for exp (mat_exp, exp_coeffs), in _eig_of
-for the other scalar maps and in eigh_coeffs for the other batched ones; all
-three call jacobi_eigh.
+eigh_coeffs is the one entry to the eigensolver, for the scalar
+SymMat/SpdTensor API and the batched (..., 6) kernels alike.  The two APIs
+differ only in the eigendecomposition that an SpdTensor carries, and share
+one private helper per spectral map: _exp_values and _log_values (with the
+overflow and positive-definiteness checks), _clamp (the floor), _into_ball
+(the log-ball rescale), _log_norm, _coeffs_from_eig, and _exp_eig for the
+decomposition that exp follows.  project_full_coeffs decomposes only the
+elements that a certificate cannot prove feasible.
 """
 from __future__ import annotations
 
@@ -45,6 +43,14 @@ _BOX_MARGIN = 1e-12            # certificate box margin: covers rounding of exp(
 
 class NotPositiveDefiniteError(ValueError):
     """An eigenvalue <= 0 where strict positive definiteness is required."""
+
+
+def _check_floor_in_ball(epsilon: float, z: float):
+    """Reject an epsilon > 1 whose floor forces ||Log||_F >= sqrt(3) log(epsilon) > z;
+    compared in log form, so that no exponential can overflow."""
+    if epsilon > 1.0 and np.sqrt(3.0) * np.log(epsilon) > z:
+        raise ValueError(f"epsilon = {epsilon:g} leaves no feasible tensor: its floor forces "
+                         f"||Log||_F >= sqrt(3) log(epsilon) > z = {z:g}")
 
 
 def coeff_pairs(dim: int) -> list[tuple[int, int]]:
@@ -177,13 +183,18 @@ def jacobi_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals.reshape(lead + (m,)), vecs.reshape(lead + (m, m))
 
 
+def eigh_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a (..., 6) coefficient array of 3x3 matrices."""
+    return jacobi_eigh(coeffs_to_matrices(coeffs, 3))
+
+
 def assemble_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Reassemble symmetric matrices V diag(values) V^T, symmetrized exactly."""
     raw = np.einsum("...ik,...k,...jk->...ij", vectors, values, vectors)
     return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
-# ---- spectral maps on (..., m) eigenvalue arrays, shared by both APIs ----
+# ---- spectral maps on (..., 3) eigenvalue arrays, shared by both APIs ----
 
 def _coeffs_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """(..., n_coeffs) coefficients of V diag(values) V^T."""
@@ -219,31 +230,27 @@ def _into_ball(x: np.ndarray, z: float, sq=None) -> np.ndarray:
 
 
 def _log_norm(vals: np.ndarray, what: str = "log-norm") -> np.ndarray:
-    """||Log||_F from (..., m) eigenvalues, one per row."""
+    """||Log||_F from (..., 3) eigenvalues, one per row."""
     logs = _log_values(vals, what)
     return np.sqrt((logs * logs).sum(axis=-1))
 
 
-def _exp_eig(coeffs: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of Exp of (..., n_coeffs) coefficients, for mat_exp and exp_coeffs."""
-    vals, vecs = jacobi_eigh(coeffs_to_matrices(coeffs, dim))
+def _exp_eig(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of Exp of (..., 6) coefficients, for mat_exp and exp_coeffs."""
+    vals, vecs = eigh_coeffs(coeffs)
     return _exp_values(vals), vecs
 
 
 @dataclass(frozen=True, eq=False)
 class SymMat:
-    """A real symmetric matrix stored by its independent coefficients."""
+    """A real symmetric 3x3 matrix stored by its six independent coefficients."""
 
     coeffs: np.ndarray
-    dim: int = 3
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=np.float64).reshape(-1)
-        n = self.dim * (self.dim + 1) // 2
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if coeffs.shape != (n,):
-            raise ValueError(f"expected {n} coefficients for dim={self.dim}, got {coeffs.shape}")
+        if coeffs.shape != (6,):
+            raise ValueError(f"expected 6 coefficients, got {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("non-finite coefficients")
         coeffs.flags.writeable = False
@@ -252,21 +259,21 @@ class SymMat:
     @classmethod
     def from_matrix(cls, mat: np.ndarray, tol: float = 1e-9) -> "SymMat":
         mat = np.asarray(mat, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        if mat.shape != (3, 3):
+            raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("non-finite entries")
         asym = np.abs(mat - mat.T).max()
         if asym > tol * max(1.0, np.abs(mat).max()):
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
-        return cls(matrices_to_coeffs(mat), dim=mat.shape[0])
+        return cls(matrices_to_coeffs(mat))
 
     @property
     def matrix(self) -> np.ndarray:
-        return coeffs_to_matrices(self.coeffs, self.dim)
+        return coeffs_to_matrices(self.coeffs)
 
     def scaled(self, factor: float) -> "SymMat":
-        return SymMat(self.coeffs * float(factor), dim=self.dim)
+        return SymMat(self.coeffs * float(factor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,10 +286,9 @@ class EigenPair:
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
         vectors = np.array(self.vectors, dtype=np.float64)
-        if values.ndim != 1 or vectors.shape != (values.size, values.size):
-            raise ValueError(f"inconsistent eigenpair shapes {values.shape} / {vectors.shape}")
-        values.flags.writeable = False
-        vectors.flags.writeable = False
+        if values.shape != (3,) or vectors.shape != (3, 3):
+            raise ValueError(f"eigenpair shapes {values.shape} / {vectors.shape}, not 3x3")
+        values.flags.writeable = vectors.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "vectors", vectors)
 
@@ -313,12 +319,9 @@ class SpdTensor:
         object.__setattr__(self, "certified_log_bound", bound)
         if self.eig is None:
             object.__setattr__(self, "eig", sym_eig(self.mat))
-        elif self.eig.values.size != self.dim:
-            raise ValueError(f"eigenpair of size {self.eig.values.size} for dim={self.dim}")
         else:
             residual = assemble_from_eig(self.eig.values, self.eig.vectors) - self.mat.matrix
-            norm = np.sqrt((self.mat.matrix ** 2).sum())
-            if np.abs(residual).max() > 1e-12 * max(1.0, norm):
+            if np.abs(residual).max() > 1e-12 * max(1.0, frobenius(self.mat)):
                 raise ValueError("eigendecomposition does not reconstruct the matrix")
         lognorm = float(_log_norm(self.eig.values, "SpdTensor"))
         if lognorm > bound * (1.0 + 1e-12) + 1e-12:
@@ -330,30 +333,26 @@ class SpdTensor:
     def matrix(self) -> np.ndarray:
         return self.mat.matrix
 
-    @property
-    def dim(self) -> int:
-        return self.mat.dim
-
 
 def sym_eig(m: SymMat) -> EigenPair:
     """Eigendecomposition of a SymMat (descending values, sign-fixed vectors)."""
-    return EigenPair(*_eig_of(m)[:2])
+    return EigenPair(*_eig_of(m))
 
 
 def frobenius(m: SymMat) -> float:
     """Frobenius norm of the full matrix (off-diagonals counted twice)."""
-    return float(np.sqrt((coeff_weights(m.dim) * m.coeffs * m.coeffs).sum()))
+    return float(np.sqrt(weighted_norm_sq(m.coeffs)))
 
 
-def _spd_from_eig(values: np.ndarray, vectors: np.ndarray, bound: float, dim: int) -> SpdTensor:
-    mat = SymMat(_coeffs_from_eig(values, vectors), dim=dim)
+def _spd_from_eig(values: np.ndarray, vectors: np.ndarray, bound: float) -> SpdTensor:
+    mat = SymMat(_coeffs_from_eig(values, vectors))
     return SpdTensor(mat, bound, eig=EigenPair(values, vectors))
 
 
 def mat_exp(s: SymMat) -> SpdTensor:
     """Matrix exponential of a symmetric matrix; certified bound ||s||_F."""
-    vals, vecs = _exp_eig(s.coeffs, s.dim)
-    return _spd_from_eig(vals, vecs, frobenius(s), s.dim)
+    vals, vecs = _exp_eig(s.coeffs)
+    return _spd_from_eig(vals, vecs, frobenius(s))
 
 
 def _sym_of(a, symmetrize: bool = False) -> SymMat:
@@ -365,42 +364,31 @@ def _sym_of(a, symmetrize: bool = False) -> SymMat:
     return SymMat.from_matrix(a, tol=np.inf if symmetrize else 1e-9)
 
 
-def _eig_of(a, symmetrize: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
-    """(values, vectors, dim) of a SpdTensor (cached), SymMat, or raw array."""
+def _eig_of(a, symmetrize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors) of a SpdTensor (cached), SymMat, or raw array."""
     if isinstance(a, SpdTensor):
-        return a.eig.values, a.eig.vectors, a.dim
-    m = _sym_of(a, symmetrize)
-    return (*jacobi_eigh(m.matrix), m.dim)
+        return a.eig.values, a.eig.vectors
+    return eigh_coeffs(_sym_of(a, symmetrize).coeffs)
 
 
 def mat_log(a) -> SymMat:
     """Matrix logarithm of a strictly positive definite symmetric matrix."""
-    vals, vecs, dim = _eig_of(a)
-    return SymMat(_coeffs_from_eig(_log_values(vals, "mat_log"), vecs), dim=dim)
-
-
-def _log_pair(a, b) -> tuple[SymMat, SymMat]:
-    la, lb = mat_log(a), mat_log(b)
-    if la.dim != lb.dim:
-        raise ValueError(f"dimension mismatch: {la.dim} vs {lb.dim}")
-    return la, lb
+    vals, vecs = _eig_of(a)
+    return SymMat(_coeffs_from_eig(_log_values(vals, "mat_log"), vecs))
 
 
 def dist_log_euclidean(a, b) -> float:
     """Log-Euclidean distance ||Log A - Log B||_F."""
-    la, lb = _log_pair(a, b)
-    return frobenius(SymMat(la.coeffs - lb.coeffs, dim=la.dim))
+    return frobenius(SymMat(mat_log(a).coeffs - mat_log(b).coeffs))
 
 
 def dist_affine_invariant(a, b) -> float:
     """Affine-invariant distance ||Log(A^{-1/2} B A^{-1/2})||_F."""
-    vals, vecs, dim_a = _eig_of(a)
+    vals, vecs = _eig_of(a)
     mb = _sym_of(b)
-    if dim_a != mb.dim:
-        raise ValueError(f"dimension mismatch: {dim_a} vs {mb.dim}")
     _log_values(vals, "dist_affine_invariant")  # only the positive-definiteness check
     inv_sqrt = assemble_from_eig(1.0 / np.sqrt(vals), vecs)
-    ivals, _, _ = _eig_of(inv_sqrt @ mb.matrix @ inv_sqrt, symmetrize=True)
+    ivals, _ = _eig_of(inv_sqrt @ mb.matrix @ inv_sqrt, symmetrize=True)
     return float(_log_norm(ivals, "the dist_affine_invariant congruence"))
 
 
@@ -416,9 +404,9 @@ def project_spec(a, lo: float, hi: float = np.inf) -> SpdTensor:
         raise ValueError(f"lo must be > 0, got {lo}")
     if not (hi >= lo):
         raise ValueError(f"need hi >= lo, got lo={lo}, hi={hi}")
-    vals, vecs, dim = _eig_of(a, symmetrize=True)
+    vals, vecs = _eig_of(a, symmetrize=True)
     clamped = _clamp(vals, lo, hi)
-    return _spd_from_eig(clamped, vecs, float(_log_norm(clamped)), dim)
+    return _spd_from_eig(clamped, vecs, float(_log_norm(clamped)))
 
 
 def project_log_ball(a: SpdTensor, z: float) -> SpdTensor:
@@ -426,12 +414,12 @@ def project_log_ball(a: SpdTensor, z: float) -> SpdTensor:
     z = float(z)
     if not (z > 0.0):
         raise ValueError(f"z must be > 0, got {z}")
-    vals, vecs, dim = _eig_of(a)
+    vals, vecs = _eig_of(a)
     logs = _log_values(vals, "project_log_ball")
     c = float((logs * logs).sum())
     if c <= z * z:
-        return a if isinstance(a, SpdTensor) else _spd_from_eig(vals, vecs, np.sqrt(c), dim)
-    return _spd_from_eig(_exp_values(_into_ball(logs, z, c)), vecs, z, dim)
+        return a if isinstance(a, SpdTensor) else _spd_from_eig(vals, vecs, np.sqrt(c))
+    return _spd_from_eig(_exp_values(_into_ball(logs, z, c)), vecs, z)
 
 
 def project_full(a, epsilon: float = EPSILON_DEFAULT, z: float = LOG_BOUND_DEFAULT) -> SpdTensor:
@@ -444,9 +432,8 @@ def geodesic(a: SpdTensor, b: SpdTensor, t: float) -> SpdTensor:
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    la, lb = _log_pair(a, b)
-    combined = SymMat((1.0 - t) * la.coeffs + t * lb.coeffs, dim=la.dim)
-    return mat_exp(combined)
+    la, lb = mat_log(a), mat_log(b)
+    return mat_exp(SymMat((1.0 - t) * la.coeffs + t * lb.coeffs))
 
 
 def fa_of_eigenvalues(vals: np.ndarray) -> np.ndarray:
@@ -463,17 +450,10 @@ def fa_of_eigenvalues(vals: np.ndarray) -> np.ndarray:
 
 def fractional_anisotropy(a: SpdTensor) -> float:
     """FA of a 3x3 SPD tensor, clipped into [0, 1]."""
-    if a.dim != 3:
-        raise ValueError(f"fractional anisotropy is defined for dim=3, got dim={a.dim}")
     return float(fa_of_eigenvalues(a.eig.values))
 
 
-# ---- batched coefficient-array kernels (dim=3) used by the field modules ----
-
-def eigh_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (..., 6) coefficient array of 3x3 matrices."""
-    return jacobi_eigh(coeffs_to_matrices(coeffs, 3))
-
+# ---- batched (..., 6) coefficient-array kernels used by the field modules ----
 
 def log_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Matrix log on a (..., 6) coefficient array; all matrices must be SPD."""
@@ -483,7 +463,7 @@ def log_coeffs(coeffs: np.ndarray) -> np.ndarray:
 
 def exp_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Matrix exp on a (..., 6) coefficient array of symmetric matrices."""
-    return _coeffs_from_eig(*_exp_eig(coeffs, 3))
+    return _coeffs_from_eig(*_exp_eig(coeffs))
 
 
 def weighted_norm_sq(coeffs: np.ndarray) -> np.ndarray:

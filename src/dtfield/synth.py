@@ -23,8 +23,10 @@ from .spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
     SpdTensor,
-    SymMat,
-    project_full,
+    _W3,
+    _check_floor_in_ball,
+    _pair_index,
+    matrices_to_coeffs,
     project_full_coeffs,
 )
 
@@ -41,8 +43,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not self.sigma2 >= 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if not isinstance(self.seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(self.seed).__name__}")
 
@@ -64,10 +66,10 @@ class DwiSet:
         norms = np.linalg.norm(directions, axis=1)
         if not np.allclose(norms, 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("gradient directions must be unit vectors")
-        if not self.b_value > 0.0:
-            raise ValueError(f"b_value must be > 0, got {self.b_value}")
-        if not self.a0 > 0.0:
-            raise ValueError(f"a0 must be > 0, got {self.a0}")
+        if not (math.isfinite(self.b_value) and self.b_value > 0.0):
+            raise ValueError(f"b_value must be finite and > 0, got {self.b_value}")
+        if not (math.isfinite(self.a0) and self.a0 > 0.0):
+            raise ValueError(f"a0 must be finite and > 0, got {self.a0}")
         if images.ndim != 3 or images.shape[0] != directions.shape[0]:
             raise ValueError(
                 f"images must be (k, height, width) with k = {directions.shape[0]}, "
@@ -111,10 +113,8 @@ def design_matrix(directions: np.ndarray) -> np.ndarray:
     """Rows [gx^2, gy^2, gz^2, 2 gx gy, 2 gx gz, 2 gy gz] so that
     row @ coeffs = g^T w g for the independent-coefficient tensor layout."""
     g = np.asarray(directions, dtype=np.float64)
-    return np.stack([
-        g[:, 0] ** 2, g[:, 1] ** 2, g[:, 2] ** 2,
-        2.0 * g[:, 0] * g[:, 1], 2.0 * g[:, 0] * g[:, 2], 2.0 * g[:, 1] * g[:, 2],
-    ], axis=1)
+    i, j = _pair_index(3)
+    return np.ascontiguousarray(g[:, i] * g[:, j] * _W3)  # C order: sums follow layout
 
 
 def stejskal_tanner_forward(w, b: float, g, a0: float) -> float:
@@ -197,18 +197,16 @@ def _ls_coefficients(dwis: DwiSet) -> np.ndarray:
     return np.einsum("ck,kij->ijc", pinv, targets)
 
 
-def fit_tensor_ls(dwis: DwiSet, pixel: tuple[int, int],
-                  epsilon: float = EPSILON_DEFAULT,
+def fit_tensor_ls(dwis: DwiSet, pixel: tuple[int, int], epsilon: float = EPSILON_DEFAULT,
                   z: float = LOG_BOUND_DEFAULT) -> SpdTensor:
-    """Least-squares tensor fit at one pixel, projected into SPD^Log_z."""
-    i, j = pixel
-    coeffs = _ls_coefficients(dwis)[i, j]
-    return project_full(SymMat(coeffs).matrix, epsilon, z)
+    """One pixel of fit_field, carrying the field's certified bound."""
+    return fit_field(dwis, epsilon, z).tensor_at(*pixel)
 
 
 def fit_field(dwis: DwiSet, epsilon: float = EPSILON_DEFAULT,
               z: float = LOG_BOUND_DEFAULT) -> TensorField:
     """Least-squares tensor fit of every pixel, projected into SPD^Log_z."""
+    _check_floor_in_ball(epsilon, z)
     coeffs = project_full_coeffs(_ls_coefficients(dwis), epsilon, z)
     return TensorField(coeffs, z)
 
@@ -255,8 +253,7 @@ def make_main_direction_phantom(n: int) -> TensorField:
 
     def band_tensor(axis):
         axis = np.asarray(axis) / np.linalg.norm(axis)
-        mat = iso * np.eye(3) + (principal - iso) * np.outer(axis, axis)
-        return np.array([mat[0, 0], mat[1, 1], mat[2, 2], mat[0, 1], mat[0, 2], mat[1, 2]])
+        return matrices_to_coeffs(iso * np.eye(3) + (principal - iso) * np.outer(axis, axis))
 
     col0, row0 = 1, n - 3
     vertical = band_tensor((0.0, 1.0, 0.0))    # along image rows

@@ -58,6 +58,33 @@ def test_generate_rejects_non_positive_threads(tmp_path, capsys):
     assert not (out / "provenance.json").exists()
 
 
+@pytest.mark.parametrize("flag,name", [("b", "b_value"), ("a0", "a0"), ("sigma2", "sigma2")])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_generate_rejects_non_finite_signal_parameters(tmp_path, capsys, flag, name, value):
+    # --b inf used to exit 0 with every signal at 0 and "b": Infinity in the
+    # provenance; --a0 inf and --sigma2 inf failed only on the images
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--n", "4", "--sigma2", "100", f"--{flag}", value,
+                       "--out", str(out))
+    assert code == 2
+    assert f"{name} must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "denoise"])
+def test_epsilon_floor_outside_log_ball_exits_2(tmp_path, capsys, command):
+    # generate used to write eigenvalues below the floor, denoise to exit 3
+    if command == "generate":
+        inputs = ["--n", "4"]
+    else:
+        inputs = [str(generate(capsys, tmp_path / "data") / "noisy.dtf")]
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, *inputs, "--epsilon", "1e10", "--out", str(out))
+    assert code == 2
+    assert "epsilon = 1e+10 leaves no feasible tensor" in err
+    assert not out.exists()
+
+
 def test_generate_zero_noise_roundtrips(tmp_path, capsys):
     code, _, _ = run(capsys, "generate", "--n", "4", "--sigma2", "0",
                      "--out", str(tmp_path))

@@ -87,6 +87,14 @@ def test_parameters_reject_non_finite_values(cls, name):
             cls(**{name: value})
 
 
+def test_parameters_reject_floor_outside_log_ball():
+    # sqrt(3) log(1.1e9) = 36.06 > z = 36: no tensor has every eigenvalue >= epsilon
+    with pytest.raises(ValueError, match="^epsilon = 1.1e\\+09 leaves no feasible tensor"):
+        FunctionalParams(epsilon=1.1e9)
+    FunctionalParams(epsilon=1e9)
+    FunctionalParams(epsilon=1e10, z=1e308)  # compared in log form: no overflow
+
+
 def test_report_json_keys():
     report = SolveReport(iterations=2, objective_trajectory=[3.0, 2.0, 1.5],
                          final_objective=1.5, converged=True, seconds=0.25, evaluations=5,

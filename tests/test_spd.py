@@ -41,18 +41,17 @@ from dtfield.spd import (
 )
 
 
-def random_symmat(rng, scale=1.0, dim=3):
-    n = dim * (dim + 1) // 2
-    return SymMat(rng.standard_normal(n) * scale, dim=dim)
+def random_symmat(rng, scale=1.0):
+    return SymMat(rng.standard_normal(6) * scale)
 
 
-def random_spd(rng, log_scale=1.0, dim=3):
-    return mat_exp(random_symmat(rng, scale=log_scale, dim=dim))
+def random_spd(rng, log_scale=1.0):
+    return mat_exp(random_symmat(rng, scale=log_scale))
 
 
-def spd_in_log_ball(rng, z, dim=3):
+def spd_in_log_ball(rng, z):
     """Random SPD tensor with ||Log||_F exactly uniform in (0, z]."""
-    s = random_symmat(rng, dim=dim)
+    s = random_symmat(rng)
     target = rng.uniform(0.05, 1.0) * z
     return mat_exp(s.scaled(target / frobenius(s)))
 
@@ -102,13 +101,16 @@ def test_weighted_norm_sq_is_independent_of_memory_layout():
 
 
 def test_symmat_validation():
+    for n in (3, 5, 10):
+        with pytest.raises(ValueError, match="expected 6 coefficients"):
+            SymMat(np.ones(n))
     with pytest.raises(ValueError):
-        SymMat(np.ones(5), dim=3)
-    with pytest.raises(ValueError):
-        SymMat(np.array([1.0, 2, 3, np.nan, 0, 0]), dim=3)
-    with pytest.raises(ValueError):
-        SymMat.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    m = SymMat(np.arange(6, dtype=float), dim=3)
+        SymMat(np.array([1.0, 2, 3, np.nan, 0, 0]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymMat.from_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="3x3"):
+        SymMat.from_matrix(np.eye(2))
+    m = SymMat(np.arange(6, dtype=float))
     with pytest.raises(ValueError):
         m.coeffs[0] = 99.0  # frozen storage
 
@@ -116,14 +118,23 @@ def test_symmat_validation():
 # ---- eigendecomposition ----
 
 def test_sym_eig_diagonal_matrix():
-    e = sym_eig(SymMat(np.array([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]), dim=3))
+    e = sym_eig(SymMat(np.array([3.0, 2.0, 1.0, 0.0, 0.0, 0.0])))
     assert np.array_equal(e.values, [3.0, 2.0, 1.0])
     assert np.allclose(np.abs(e.vectors), np.eye(3), atol=1e-15)
 
 
 def test_sym_eig_2x2_exchange():
-    e = sym_eig(SymMat(np.array([0.0, 0.0, 1.0]), dim=2))
-    assert np.allclose(e.values, [1.0, -1.0], atol=1e-15)
+    values, _ = jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(values, [1.0, -1.0], atol=1e-15)
+
+
+def test_sym_eig_is_eigh_coeffs():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        c = rng.standard_normal(6) * np.exp(rng.uniform(-5, 5))
+        e = sym_eig(SymMat(c))
+        values, vectors = eigh_coeffs(c)
+        assert np.array_equal(e.values, values) and np.array_equal(e.vectors, vectors)
 
 
 def test_sym_eig_reconstruction_and_orthogonality():
@@ -192,9 +203,9 @@ def test_jacobi_graded_spd_relative_accuracy():
 # ---- exp and log ----
 
 def test_mat_exp_zero_and_diagonal():
-    z = mat_exp(SymMat(np.zeros(6), dim=3))
+    z = mat_exp(SymMat(np.zeros(6)))
     assert np.allclose(z.matrix, np.eye(3), atol=1e-15)
-    d = mat_exp(SymMat(np.array([1.0, 0, 0, 0, 0, 0]), dim=3))
+    d = mat_exp(SymMat(np.array([1.0, 0, 0, 0, 0, 0])))
     assert np.allclose(np.diag(d.matrix), [np.e, 1.0, 1.0], rtol=1e-15)
 
 
@@ -206,13 +217,13 @@ def test_mat_exp_bound_is_input_norm():
 
 def test_mat_exp_overflow():
     with pytest.raises(OverflowError):
-        mat_exp(SymMat(np.array([710.0, 0, 0, 0, 0, 0]), dim=3))
+        mat_exp(SymMat(np.array([710.0, 0, 0, 0, 0, 0])))
 
 
 def test_mat_log_identity_and_diagonal():
     ident = project_full(np.eye(3))
     assert np.abs(mat_log(ident).coeffs).max() < 1e-15
-    a = mat_exp(SymMat(np.array([2.0, 1.0, 0.0, 0, 0, 0]), dim=3))
+    a = mat_exp(SymMat(np.array([2.0, 1.0, 0.0, 0, 0, 0])))
     back = mat_log(a)
     assert np.allclose(back.coeffs, [2.0, 1.0, 0.0, 0, 0, 0], atol=1e-14)
 
@@ -252,11 +263,11 @@ def test_log_norm_inside_stated_ball():
 # ---- frobenius ----
 
 def test_frobenius_values():
-    assert frobenius(SymMat(np.zeros(6), dim=3)) == 0.0
-    ident = SymMat(np.array([1.0, 1, 1, 0, 0, 0]), dim=3)
+    assert frobenius(SymMat(np.zeros(6))) == 0.0
+    ident = SymMat(np.array([1.0, 1, 1, 0, 0, 0]))
     assert abs(frobenius(ident) - np.sqrt(3.0)) < 1e-15
     # off-diagonals count twice
-    m = SymMat(np.array([0.0, 0, 0, 1.0, 0, 0]), dim=3)
+    m = SymMat(np.array([0.0, 0, 0, 1.0, 0, 0]))
     assert abs(frobenius(m) - np.sqrt(2.0)) < 1e-15
 
 
@@ -277,7 +288,7 @@ def test_dist_le_basics():
     rng = np.random.default_rng(10)
     a = random_spd(rng)
     assert dist_log_euclidean(a, a) == 0.0
-    e11 = mat_exp(SymMat(np.array([1.0, 0, 0, 0, 0, 0]), dim=3))
+    e11 = mat_exp(SymMat(np.array([1.0, 0, 0, 0, 0, 0])))
     ident = project_full(np.eye(3))
     assert abs(dist_log_euclidean(e11, ident) - 1.0) < 1e-12
 
@@ -350,7 +361,7 @@ def test_dist_ai_basics():
     rng = np.random.default_rng(16)
     a = random_spd(rng)
     assert dist_affine_invariant(a, a) < 1e-12
-    e11 = mat_exp(SymMat(np.array([1.0, 0, 0, 0, 0, 0]), dim=3))
+    e11 = mat_exp(SymMat(np.array([1.0, 0, 0, 0, 0, 0])))
     ident = project_full(np.eye(3))
     assert abs(dist_affine_invariant(e11, ident) - 1.0) < 1e-12
 
@@ -492,7 +503,7 @@ def test_spd_tensor_rejects_bad_certificates():
         )
     with pytest.raises(ValueError, match="eigenpair shapes"):
         EigenPair(np.array(1.0), np.eye(1))
-    with pytest.raises(ValueError, match="eigenpair of size 2 for dim=3"):
+    with pytest.raises(ValueError, match="eigenpair shapes"):
         SpdTensor(SymMat(np.array([2.0, 1, 1, 0, 0, 0])), 5.0,
                   eig=EigenPair(np.array([2.0, 1.0]), np.eye(2)))
 
@@ -512,7 +523,7 @@ def test_geodesic_endpoints():
 
 def test_geodesic_diagonal_midpoint():
     ident = project_full(np.eye(3))
-    b = mat_exp(SymMat(np.array([2.0, 0, 0, 0, 0, 0]), dim=3))
+    b = mat_exp(SymMat(np.array([2.0, 0, 0, 0, 0, 0])))
     mid = geodesic(ident, b, 0.5)
     assert np.allclose(np.diag(mid.matrix), [np.e, 1.0, 1.0], rtol=1e-12)
 

@@ -10,6 +10,7 @@ from scipy.special import i0e, i1e
 from dtfield.field import TensorField
 from dtfield.spd import (
     assemble_from_eig,
+    eigh_coeffs,
     fractional_anisotropy,
     log_coeffs,
     matrices_to_coeffs,
@@ -142,6 +143,9 @@ def test_rician_mean_at_zero_signal_is_rayleigh():
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(-1.0, 0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^sigma2 must be finite"):
+            NoiseSpec(value, 0)
     with pytest.raises(TypeError):
         NoiseSpec(1.0, "seed")
 
@@ -161,7 +165,8 @@ def test_fit_single_pixel_matches_field_fit():
     dwis = apply_noise(simulate_dwis(field), NoiseSpec(1600.0, 0))
     one = fit_tensor_ls(dwis, (1, 2))
     full = fit_field(dwis)
-    assert np.allclose(one.mat.coeffs, full.coeffs[1, 2], rtol=0.0, atol=1e-12)
+    assert np.array_equal(one.mat.coeffs, full.coeffs[1, 2])
+    assert one.certified_log_bound == full.tensor_at(1, 2).certified_log_bound
 
 
 def test_fit_all_signals_at_a0_gives_projected_zero():
@@ -170,6 +175,18 @@ def test_fit_all_signals_at_a0_gives_projected_zero():
     tensor = fit_tensor_ls(dwis, (0, 0))
     assert np.allclose(np.diag(tensor.mat.matrix), math.exp(-36.0 / math.sqrt(3.0)),
                        rtol=1e-9)
+
+
+def test_fit_rejects_floor_outside_log_ball():
+    # every eigenvalue >= epsilon forces ||Log||_F >= sqrt(3) log(epsilon),
+    # so above e^(z/sqrt 3) no tensor is feasible; a huge z must not overflow
+    dwis = simulate_dwis(make_staircase_phantom(3))
+    with pytest.raises(ValueError, match="^epsilon = 1.1e\\+09 leaves no feasible tensor"):
+        fit_field(dwis, epsilon=1.1e9, z=36.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        fit_tensor_ls(dwis, (0, 0), epsilon=1e10)
+    assert eigh_coeffs(fit_field(dwis, epsilon=1e9, z=36.0).coeffs)[0].min() > 0.99e9
+    fit_field(dwis, epsilon=1e10, z=1e308)
 
 
 def test_fit_rejects_rank_deficient_directions():
@@ -306,6 +323,11 @@ def test_dwiset_validation():
         DwiSet(dirs, -1.0, 1000.0, good)
     with pytest.raises(ValueError):
         DwiSet(dirs, 800.0, 0.0, good)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^b_value must be finite"):
+            DwiSet(dirs, value, 1000.0, good)
+        with pytest.raises(ValueError, match="^a0 must be finite"):
+            DwiSet(dirs, 800.0, value, good)
     with pytest.raises(ValueError):
         DwiSet(dirs, 800.0, 1000.0, np.ones((11, 2, 2)))
     with pytest.raises(ValueError):
