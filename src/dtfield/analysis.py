@@ -131,7 +131,7 @@ def default_alpha_rule(delta: float, p: float) -> float:
 def convergence_study(phantom: TensorField, noise_levels, alpha_rule=None, *,
                       params: FunctionalParams | None = None,
                       config: SolverConfig | None = None,
-                      seed: int = 0, threads: int = 1) -> list[StudyRow]:
+                      seed: int = 0) -> list[StudyRow]:
     """Denoise the phantom across decreasing noise levels and tabulate errors.
 
     For each level delta (the Rician noise standard deviation in signal
@@ -157,8 +157,7 @@ def convergence_study(phantom: TensorField, noise_levels, alpha_rule=None, *,
         alpha = float(alpha_rule(delta))
         run_params = replace(params, alpha=alpha)
         noisy = corrupt_field(phantom, NoiseSpec(delta * delta, seed),
-                              epsilon=run_params.epsilon, z=run_params.z,
-                              threads=threads)
+                              epsilon=run_params.epsilon, z=run_params.z)
         rec, _ = solve(noisy, mask, run_params, config=config)
         rows.append(StudyRow(delta, alpha, field_log_distance(rec, phantom)))
     return rows

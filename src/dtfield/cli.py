@@ -57,6 +57,13 @@ def _choice(*names: str) -> Callable[[str], str]:
     return convert
 
 
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"threads must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Opt:
     """One config-file-eligible parameter: flag name, converter, default."""
@@ -76,7 +83,7 @@ _GENERATE_OPTS = [
     Opt("a0", float, A0_DEFAULT, "unweighted reference signal"),
     Opt("z", float, LOG_BOUND_DEFAULT, "log-norm bound of the fitted tensors"),
     Opt("epsilon", float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
-    Opt("threads", int, 1, "worker threads for noise generation"),
+    Opt("threads", _threads, 1, "no effect; accepted and recorded in provenance.json"),
 ]
 
 _SOLVE_OPTS = [
@@ -169,8 +176,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     values = _resolve(_GENERATE_OPTS, args)
     phantom = _PHANTOMS[values["phantom"]](values["n"])
     spec = NoiseSpec(values["sigma2"], values["seed"])
-    dwis = apply_noise(simulate_dwis(phantom, values["b"], values["a0"]),
-                       spec, values["threads"])
+    dwis = apply_noise(simulate_dwis(phantom, values["b"], values["a0"]), spec)
     noisy = fit_field(dwis, values["epsilon"], values["z"])
     os.makedirs(args.out, exist_ok=True)
     write_field(phantom, os.path.join(args.out, "original.dtf"))

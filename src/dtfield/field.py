@@ -14,8 +14,7 @@ The batched evaluators at the bottom accept arrays with arbitrary leading
 axes in front of (height, width, 6) and return one energy per leading index;
 gradients are with respect to the independent coefficients (so off-diagonal
 partials carry the Frobenius factor 2).  All reductions run in a fixed index
-order, so results are bit-deterministic and independent of any outer
-parallel schedule.
+order, so results are bit-deterministic.
 """
 from __future__ import annotations
 
@@ -95,30 +94,10 @@ class TensorField:
     def width(self) -> int:
         return self.coeffs.shape[1]
 
-    @property
-    def tensors(self) -> list[SpdTensor]:
-        """Row-major list of per-pixel SpdTensor values."""
-        return [self.tensor_at(r, c) for r in range(self.height) for c in range(self.width)]
-
     def tensor_at(self, row: int, col: int) -> SpdTensor:
         mat = SymMat(self.coeffs[row, col])
         eig = sym_eig(mat)
         return SpdTensor(mat, max(self.log_bound, float(_log_norm(eig.values))), eig=eig)
-
-    @classmethod
-    def from_tensors(cls, tensors, height: int, width: int,
-                     log_bound: float | None = None) -> "TensorField":
-        """Build a field from a row-major iterable of SpdTensor values."""
-        tensors = list(tensors)
-        if len(tensors) != height * width:
-            raise ValueError(
-                f"expected {height * width} tensors for a {height}x{width} grid, "
-                f"got {len(tensors)}"
-            )
-        coeffs = np.stack([t.mat.coeffs for t in tensors]).reshape(height, width, 6)
-        if log_bound is None:
-            log_bound = max(t.certified_log_bound for t in tensors)
-        return cls(coeffs, log_bound)
 
 
 def _grid_coeffs(w) -> np.ndarray:

@@ -17,9 +17,10 @@ SymMat/SpdTensor API and the batched (..., 6) kernels alike.  The two APIs
 differ only in the eigendecomposition that an SpdTensor carries, and share
 one private helper per spectral map: _exp_values and _log_values (with the
 overflow and positive-definiteness checks), _clamp (the floor), _into_ball
-(the log-ball rescale), _log_norm, _coeffs_from_eig, and _exp_eig for the
-decomposition that exp follows.  project_full_coeffs decomposes only the
-elements that a certificate cannot prove feasible.
+(the log-ball rescale), _project_values (floor, then rescale), _log_norm,
+_coeffs_from_eig, and _exp_eig for the decomposition that exp follows.
+project_full_coeffs decomposes only the elements that a certificate cannot
+prove feasible, and the full projections reject a floor outside the z ball.
 """
 from __future__ import annotations
 
@@ -229,6 +230,11 @@ def _into_ball(x: np.ndarray, z: float, sq=None) -> np.ndarray:
     return x * factor[..., None]
 
 
+def _project_values(vals: np.ndarray, epsilon: float, z: float) -> np.ndarray:
+    """The full projection on eigenvalues: floor at epsilon, then log-ball rescale."""
+    return _exp_values(_into_ball(_log_values(_clamp(vals, epsilon)), z))
+
+
 def _log_norm(vals: np.ndarray, what: str = "log-norm") -> np.ndarray:
     """||Log||_F from (..., 3) eigenvalues, one per row."""
     logs = _log_values(vals, what)
@@ -423,8 +429,15 @@ def project_log_ball(a: SpdTensor, z: float) -> SpdTensor:
 
 
 def project_full(a, epsilon: float = EPSILON_DEFAULT, z: float = LOG_BOUND_DEFAULT) -> SpdTensor:
-    """Full projection: eigenvalue floor at epsilon, then log-ball of radius z."""
-    return project_log_ball(project_spec(a, epsilon, np.inf), z)
+    """Symmetrize, floor eigenvalues at epsilon, then rescale into the log-ball of radius z;
+    bit-equal to project_full_coeffs on every element that it decomposes."""
+    epsilon, z = float(epsilon), float(z)
+    if not (epsilon > 0.0 and z > 0.0):
+        raise ValueError(f"epsilon and z must be > 0, got {epsilon:g} and {z:g}")
+    _check_floor_in_ball(epsilon, z)
+    vals, vecs = _eig_of(a, symmetrize=True)
+    vals = _project_values(vals, epsilon, z)
+    return _spd_from_eig(vals, vecs, min(z, float(_log_norm(vals))))
 
 
 def geodesic(a: SpdTensor, b: SpdTensor, t: float) -> SpdTensor:
@@ -503,12 +516,12 @@ def _certified_feasible(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndar
 
 def project_full_coeffs(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:
     """project_full elementwise on (..., 6) coefficients; _certified_feasible ones pass as is."""
+    _check_floor_in_ball(epsilon, z)
     out = np.array(coeffs, dtype=np.float64)
     todo = ~_certified_feasible(out, epsilon, z)
     if todo.any():
         vals, vecs = eigh_coeffs(out[todo])
-        logs = _log_values(_clamp(vals, epsilon))
-        out[todo] = _coeffs_from_eig(_exp_values(_into_ball(logs, z)), vecs)
+        out[todo] = _coeffs_from_eig(_project_values(vals, epsilon, z), vecs)
     return out
 
 
@@ -521,6 +534,7 @@ def project_log_coeffs(logcoeffs: np.ndarray, epsilon: float, z: float) -> np.nd
     needs no eigendecomposition; only elements that may cross the epsilon
     floor take the eigenvalue path.
     """
+    _check_floor_in_ball(epsilon, z)
     logcoeffs = np.asarray(logcoeffs, dtype=np.float64)
     log_eps = float(np.log(epsilon))
     sq = weighted_norm_sq(logcoeffs)

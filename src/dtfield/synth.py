@@ -8,12 +8,11 @@ projection recovers a valid tensor field.
 
 Noise is drawn from one counter-based substream per pixel (keyed by the
 user seed and the row-major pixel index), so results are bit-identical
-regardless of evaluation order or worker count.
+regardless of evaluation order.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,7 @@ from .field import TensorField
 from .spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
-    SpdTensor,
     _W3,
-    _check_floor_in_ball,
     _pair_index,
     matrices_to_coeffs,
     project_full_coeffs,
@@ -117,15 +114,6 @@ def design_matrix(directions: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(g[:, i] * g[:, j] * _W3)  # C order: sums follow layout
 
 
-def stejskal_tanner_forward(w, b: float, g, a0: float) -> float:
-    """Noise-free diffusion-weighted signal a0 * exp(-b * g^T w g)."""
-    g = np.asarray(g, dtype=np.float64)
-    if abs(np.linalg.norm(g) - 1.0) > 1e-12:
-        raise ValueError("gradient direction must be a unit vector")
-    mat = w.mat.matrix if isinstance(w, SpdTensor) else np.asarray(w, dtype=np.float64)
-    return float(a0 * np.exp(-b * (g @ mat @ g)))
-
-
 def add_rician(value: float, spec: NoiseSpec, rng: np.random.Generator) -> float:
     """One Rician draw sqrt((value + n1)^2 + n2^2), n1, n2 ~ N(0, sigma2).
 
@@ -153,34 +141,24 @@ def simulate_dwis(w: TensorField, b: float = B_VALUE_DEFAULT, a0: float = A0_DEF
     return DwiSet(directions, b, a0, a0 * np.exp(-b * quad))
 
 
-def apply_noise(dwis: DwiSet, spec: NoiseSpec, threads: int = 1) -> DwiSet:
+def apply_noise(dwis: DwiSet, spec: NoiseSpec) -> DwiSet:
     """Corrupt every signal with Rician noise from per-pixel substreams.
 
     Pixel (i, j) of a height x width set uses the substream keyed by
     (spec.seed, i * width + j) and consumes one (n1, n2) pair per direction
     in direction order, exactly as sequential add_rician calls would.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if spec.sigma2 == 0.0:
         return dwis
     k, height, width = dwis.images.shape
     sigma = math.sqrt(spec.sigma2)
     seed = int(spec.seed)  # numpy integers would overflow in _pixel_rng's seed % 2**64
-
-    def noisy_row(i: int) -> np.ndarray:
-        out = np.empty((k, width))
+    images = np.empty((k, height, width))
+    for i in range(height):
         for j in range(width):
             draws = _pixel_rng(seed, i * width + j).standard_normal(2 * k) * sigma
-            out[:, j] = np.hypot(dwis.images[:, i, j] + draws[0::2], draws[1::2])
-        return out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(noisy_row, range(height)))
-    else:
-        rows = [noisy_row(i) for i in range(height)]
-    return DwiSet(dwis.directions, dwis.b_value, dwis.a0, np.stack(rows, axis=1))
+            images[:, i, j] = np.hypot(dwis.images[:, i, j] + draws[0::2], draws[1::2])
+    return DwiSet(dwis.directions, dwis.b_value, dwis.a0, images)
 
 
 def _ls_coefficients(dwis: DwiSet) -> np.ndarray:
@@ -197,26 +175,18 @@ def _ls_coefficients(dwis: DwiSet) -> np.ndarray:
     return np.einsum("ck,kij->ijc", pinv, targets)
 
 
-def fit_tensor_ls(dwis: DwiSet, pixel: tuple[int, int], epsilon: float = EPSILON_DEFAULT,
-                  z: float = LOG_BOUND_DEFAULT) -> SpdTensor:
-    """One pixel of fit_field, carrying the field's certified bound."""
-    return fit_field(dwis, epsilon, z).tensor_at(*pixel)
-
-
 def fit_field(dwis: DwiSet, epsilon: float = EPSILON_DEFAULT,
               z: float = LOG_BOUND_DEFAULT) -> TensorField:
     """Least-squares tensor fit of every pixel, projected into SPD^Log_z."""
-    _check_floor_in_ball(epsilon, z)
     coeffs = project_full_coeffs(_ls_coefficients(dwis), epsilon, z)
     return TensorField(coeffs, z)
 
 
 def corrupt_field(w: TensorField, spec: NoiseSpec, b: float = B_VALUE_DEFAULT,
                   a0: float = A0_DEFAULT, directions: np.ndarray | None = None,
-                  epsilon: float = EPSILON_DEFAULT, z: float = LOG_BOUND_DEFAULT,
-                  threads: int = 1) -> TensorField:
+                  epsilon: float = EPSILON_DEFAULT, z: float = LOG_BOUND_DEFAULT) -> TensorField:
     """Simulate, corrupt, and refit a tensor field (the full noisy-data path)."""
-    dwis = apply_noise(simulate_dwis(w, b, a0, directions), spec, threads)
+    dwis = apply_noise(simulate_dwis(w, b, a0, directions), spec)
     return fit_field(dwis, epsilon, z)
 
 

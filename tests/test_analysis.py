@@ -219,7 +219,7 @@ def test_study_custom_rule_and_threads():
     rows_a = convergence_study(phantom, [2.0], rule,
                                params=params, config=config, seed=3)
     rows_b = convergence_study(phantom, [2.0], rule,
-                               params=params, config=config, seed=3, threads=3)
+                               params=params, config=config, seed=3)
     assert rows_a[0].alpha == 0.125
     assert rows_a == rows_b
 
@@ -232,8 +232,6 @@ def test_study_validates_levels():
         convergence_study(phantom, [], params=params, config=config)
     with pytest.raises(ValueError, match="nonnegative"):
         convergence_study(phantom, [2.0, -1.0], params=params, config=config)
-    with pytest.raises(ValueError, match="threads"):
-        convergence_study(phantom, [2.0], params=params, config=config, threads=-1)
 
 
 def test_study_csv_roundtrip():

@@ -50,12 +50,15 @@ def test_generate_thread_count_does_not_change_bytes(tmp_path, capsys):
 
 
 def test_generate_rejects_non_positive_threads(tmp_path, capsys):
+    # --threads has no effect, but it is still checked and recorded
     out = tmp_path / "out"
-    code, _, err = run(capsys, "generate", "--n", "4", "--sigma2", "900",
-                       "--threads", "-3", "--out", str(out))
-    assert code == 2
-    assert "threads must be >= 1" in err
-    assert not (out / "provenance.json").exists()
+    for threads in ("0", "-3"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--n", "4", "--sigma2", "900", "--threads", threads,
+                  "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,name", [("b", "b_value"), ("a0", "a0"), ("sigma2", "sigma2")])

@@ -1,11 +1,13 @@
-"""The benchmark's use of the library API, checked without running the benchmark.
+"""The benchmark's use of the library API and the CLI, checked without a timed run.
 
 perfbench/tracing.py wraps named dtfield functions and times the kernels
-directly; an API change that breaks it would otherwise only show when the
-benchmark runs with --trace.  These tests only read perfbench/.
+directly, and the cli-64 workload drives dtfield.cli.main with fixed flags;
+an API or CLI change that breaks either would otherwise only show when the
+benchmark runs.  These tests only read perfbench/.
 """
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 from pathlib import Path
@@ -20,11 +22,16 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
-def tracing(monkeypatch):
+def perfbench(monkeypatch):
+    """Importer of perfbench modules."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    import tracing
-    return tracing
+    return importlib.import_module
+
+
+@pytest.fixture
+def tracing(perfbench):
+    return perfbench("tracing")
 
 
 def test_traced_names_resolve_and_tracer_restores_them(tracing):
@@ -50,3 +57,14 @@ def test_kernel_timings_run(tracing):
     timings = tracing.kernel_timings(dtfield)
     assert len(timings) == 17
     assert all(math.isfinite(value) and value > 0 for value in timings.values())
+
+
+def test_cli64_op_runs_and_passes_its_checks(perfbench, tmp_path):
+    # one generate -> denoise -> evaluate op at 64x64, noise seed 0
+    run = perfbench("run")
+    workload = run.Cli64(dtfield, 0)
+    workload.work = str(tmp_path)
+    inputs = workload.build()
+    op = workload.op(0)
+    assert op.ok, op.detail
+    workload.verify(inputs, [op])

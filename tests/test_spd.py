@@ -469,6 +469,30 @@ def test_project_full_zero_matrix_seed_value():
     assert abs(frobenius(mat_log(p)) - 36.0) < 1e-9
 
 
+FLOORED = {  # a full projection of a small tensor, as coefficients
+    "project_full_coeffs": lambda e, z: project_full_coeffs([1e-3] * 3 + [0.0] * 3, e, z),
+    "project_full": lambda e, z: project_full(np.diag([1e-3] * 3), e, z).mat.coeffs,
+    "project_log_coeffs": lambda e, z: exp_coeffs(project_log_coeffs(np.zeros(6), e, z)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(FLOORED))
+def test_full_projections_reject_floor_outside_log_ball(kernel):
+    # a floor above e^(z/sqrt 3) forces ||Log||_F >= sqrt(3) log(epsilon) > z;
+    # these calls used to return eigenvalues 1.063e9 below the floor 1e10
+    with pytest.raises(ValueError, match="^epsilon = 1e\\+10 leaves no feasible tensor"):
+        FLOORED[kernel](1e10, 36.0)
+    # a huge ball holds the floor, and its test must not overflow
+    vals, _ = eigh_coeffs(FLOORED[kernel](1e10, 1e308))
+    assert vals.min() >= 1e10 * (1.0 - 1e-12)
+
+
+def test_project_full_rejects_non_positive_epsilon_and_z():
+    for epsilon, z in ((0.0, 36.0), (-1.0, 36.0), (1e-3, 0.0), (1e-3, -2.0)):
+        with pytest.raises(ValueError, match="epsilon and z must be > 0"):
+            project_full(np.eye(3), epsilon, z)
+
+
 def test_project_full_idempotent():
     rng = np.random.default_rng(22)
     for _ in range(50):
@@ -640,8 +664,13 @@ def test_batched_kernels_match_scalar(kernel):
             rotated(rng, signs * np.exp(graded_log_spectra(rng, 60, reach=1.5))),
             rng.standard_normal((40, 6)) * 25.0])
         batched = project_full_coeffs(raw, EPSILON_DEFAULT, LOG_BOUND_DEFAULT)
-        scalar = [project_full(coeffs_to_matrices(c, 3)).mat.coeffs for c in raw]
-        tol = 1e-9
+        scalar = np.array([project_full(coeffs_to_matrices(c, 3)).mat.coeffs for c in raw])
+        # both paths run the same steps on every element the certificate
+        # cannot prove feasible, so there they agree bit for bit
+        certified = _certified_feasible(raw, EPSILON_DEFAULT, LOG_BOUND_DEFAULT)
+        assert certified.any() and (~certified).any()
+        assert np.array_equal(batched[~certified], scalar[~certified])
+        tol = 1e-14
     scalar = np.array(scalar)
     scale = np.maximum(1.0, np.abs(scalar).max(axis=1))
     assert (np.abs(batched - scalar).max(axis=1) <= tol * scale).all()

@@ -27,11 +27,9 @@ from dtfield.synth import (
     default_directions,
     design_matrix,
     fit_field,
-    fit_tensor_ls,
     make_main_direction_phantom,
     make_staircase_phantom,
     simulate_dwis,
-    stejskal_tanner_forward,
 )
 
 
@@ -45,25 +43,29 @@ def random_dti_field(height, width, seed, lo=1e-4, hi=1e-2):
 
 # ---- forward model ----
 
-def test_forward_b_zero_returns_a0():
-    assert stejskal_tanner_forward(1e-3 * np.eye(3), 0.0, (0.0, 1.0, 0.0), 1000.0) == 1000.0
+def isotropic_row(*lams):
+    """1 x len(lams) field of isotropic tensors lam * I."""
+    coeffs = np.zeros((1, len(lams), 6))
+    coeffs[..., :3] = np.array(lams)[:, None]
+    return TensorField(coeffs, 36.0)
 
 
 def test_forward_isotropic_example():
-    signal = stejskal_tanner_forward(1e-3 * np.eye(3), 800.0, (1.0, 0.0, 0.0), 1000.0)
-    assert math.isclose(signal, 1000.0 * math.exp(-0.8), rel_tol=1e-12)
+    # every unit direction sees g^T (lam I) g = lam
+    dwis = simulate_dwis(isotropic_row(1e-3), 800.0, 1000.0)
+    assert np.allclose(dwis.images, 1000.0 * math.exp(-0.8), rtol=1e-12, atol=0.0)
 
 
 def test_forward_monotone_in_quadratic_form():
-    g = np.array([1.0, 0.0, 0.0])
-    signals = [stejskal_tanner_forward(lam * np.eye(3), 800.0, g, 1000.0)
-               for lam in (1e-4, 5e-4, 1e-3, 3e-3)]
+    dwis = simulate_dwis(isotropic_row(1e-4, 5e-4, 1e-3, 3e-3), 800.0, 1000.0,
+                         directions=[[1.0, 0.0, 0.0]])
+    signals = dwis.images[0, 0]
     assert all(b < a for a, b in zip(signals, signals[1:]))
 
 
 def test_forward_rejects_non_unit_direction():
-    with pytest.raises(ValueError):
-        stejskal_tanner_forward(1e-3 * np.eye(3), 800.0, (1.0, 1.0, 0.0), 1000.0)
+    with pytest.raises(ValueError, match="unit vectors"):
+        simulate_dwis(isotropic_row(1e-3), 800.0, 1000.0, directions=[[1.0, 1.0, 0.0]])
 
 
 # ---- direction set ----
@@ -160,19 +162,10 @@ def test_fit_roundtrip_noiseless():
     assert dist.max() < 1e-8
 
 
-def test_fit_single_pixel_matches_field_fit():
-    field = random_dti_field(3, 4, seed=2)
-    dwis = apply_noise(simulate_dwis(field), NoiseSpec(1600.0, 0))
-    one = fit_tensor_ls(dwis, (1, 2))
-    full = fit_field(dwis)
-    assert np.array_equal(one.mat.coeffs, full.coeffs[1, 2])
-    assert one.certified_log_bound == full.tensor_at(1, 2).certified_log_bound
-
-
 def test_fit_all_signals_at_a0_gives_projected_zero():
     dwis = DwiSet(default_directions(), 800.0, 1000.0,
                   np.full((12, 2, 2), 1000.0))
-    tensor = fit_tensor_ls(dwis, (0, 0))
+    tensor = fit_field(dwis).tensor_at(0, 0)
     assert np.allclose(np.diag(tensor.mat.matrix), math.exp(-36.0 / math.sqrt(3.0)),
                        rtol=1e-9)
 
@@ -184,7 +177,7 @@ def test_fit_rejects_floor_outside_log_ball():
     with pytest.raises(ValueError, match="^epsilon = 1.1e\\+09 leaves no feasible tensor"):
         fit_field(dwis, epsilon=1.1e9, z=36.0)
     with pytest.raises(ValueError, match="epsilon"):
-        fit_tensor_ls(dwis, (0, 0), epsilon=1e10)
+        fit_field(dwis, epsilon=1e10)
     assert eigh_coeffs(fit_field(dwis, epsilon=1e9, z=36.0).coeffs)[0].min() > 0.99e9
     fit_field(dwis, epsilon=1e10, z=1e308)
 
@@ -193,7 +186,7 @@ def test_fit_rejects_rank_deficient_directions():
     dirs = np.tile(np.array([[1.0, 0.0, 0.0]]), (6, 1))
     dwis = DwiSet(dirs, 800.0, 1000.0, np.full((6, 2, 2), 500.0))
     with pytest.raises(ValueError, match="direction set"):
-        fit_tensor_ls(dwis, (0, 0))
+        fit_field(dwis)
 
 
 def test_noisy_fit_stays_in_log_ball():
@@ -216,9 +209,7 @@ def test_corrupt_field_deterministic_and_thread_invariant():
     field = make_staircase_phantom(8)
     a = corrupt_field(field, NoiseSpec(1600.0, 7))
     b = corrupt_field(field, NoiseSpec(1600.0, 7))
-    c = corrupt_field(field, NoiseSpec(1600.0, 7), threads=4)
     assert np.array_equal(a.coeffs, b.coeffs)
-    assert np.array_equal(a.coeffs, c.coeffs)
     d = corrupt_field(field, NoiseSpec(1600.0, 8))
     assert not np.array_equal(a.coeffs, d.coeffs)
 
@@ -258,14 +249,6 @@ def test_apply_noise_numpy_seed_matches_python_int(seed):
     noisy = apply_noise(dwis, NoiseSpec(400.0, seed))
     assert np.array_equal(noisy.images, apply_noise(dwis, NoiseSpec(400.0, int(seed))).images)
     assert not np.array_equal(noisy.images, dwis.images)
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_apply_noise_rejects_non_positive_threads(threads):
-    dwis = simulate_dwis(random_dti_field(2, 2, seed=6))
-    for sigma2 in (400.0, 0.0):
-        with pytest.raises(ValueError, match="threads"):
-            apply_noise(dwis, NoiseSpec(sigma2, 0), threads)
 
 
 # ---- phantoms ----
