@@ -10,7 +10,8 @@ Parameter flags may also come from a --config file of `key = value` lines
 (same key names as the flags, # comments allowed); explicit flags override
 file values, and unknown keys are rejected.
 
-Exit codes: 0 success, 2 usage or validation error, 3 runtime failure.
+main returns the exit code, argparse's included: 0 success or --help, 2 usage or
+validation error, 3 runtime failure.
 """
 from __future__ import annotations
 
@@ -309,9 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
+        return exc.code
     except LineSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,15 +2,17 @@
 
 Every tensor is a real symmetric 3x3 matrix stored as its six independent
 coefficients [a11, a22, a33, a12, a13, a23]: the diagonal, then the upper
-triangle row-major.  Frobenius norms are taken over the full matrix, so
-off-diagonal coefficients carry weight 2 in every inner product.
+triangle row-major (the constants _ROWS, _COLS and _W3).  Frobenius norms are
+taken over the full matrix, so off-diagonal coefficients carry weight 2 in
+every inner product.
 
-Eigendecompositions use batched cyclic Jacobi rotations: deterministic pivot
-order, pivot threshold |a_pq| > 1e-14 * sqrt(|a_pp * a_qq|), at most 100
-sweeps.  The relative threshold keeps small eigenvalues of heavily graded SPD
-matrices accurate to their own scale.  For 3x3 input the rotations keep the
-eigenvector basis orthogonal to machine precision, and identical input yields
-identical output bytes.
+Eigendecompositions use batched cyclic Jacobi rotations of 3x3 matrices, each
+of which updates only the six independent entries: pivot order (0,1), (0,2),
+(1,2), pivot threshold |a_pq| > 1e-14 * sqrt(|a_pp|) * sqrt(|a_qq|), at most
+100 sweeps.  The relative threshold keeps small eigenvalues of heavily graded
+SPD matrices accurate to their own scale, and as a product of square roots it
+cannot overflow.  The rotations keep the eigenvector basis orthogonal to
+machine precision, and identical input yields identical output bytes.
 
 eigh_coeffs is the one entry to the eigensolver, for the scalar
 SymMat/SpdTensor API and the batched (..., 6) kernels alike.  The two APIs
@@ -25,7 +27,6 @@ prove feasible, and the full projections reject a floor outside the z ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,139 +55,121 @@ def _check_floor_in_ball(epsilon: float, z: float):
                          f"||Log||_F >= sqrt(3) log(epsilon) > z = {z:g}")
 
 
-def coeff_pairs(dim: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j) for the coefficient layout: diagonal, then upper rows."""
-    pairs = [(i, i) for i in range(dim)]
-    pairs += [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    return pairs
+# The coefficient layout [a11, a22, a33, a12, a13, a23]: row and column of each
+# coefficient, and its full-matrix Frobenius weight (1 diagonal, 2 off-diagonal).
+_ROWS = np.array([0, 1, 2, 0, 0, 1])
+_COLS = np.array([0, 1, 2, 1, 2, 2])
+_W3 = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+_ROWS.flags.writeable = _COLS.flags.writeable = _W3.flags.writeable = False
 
-
-def coeff_weights(dim: int) -> np.ndarray:
-    """Full-matrix Frobenius weights per coefficient (1 diagonal, 2 off-diagonal)."""
-    return np.array([1.0] * dim + [2.0] * (dim * (dim - 1) // 2))
-
-
-_W3 = coeff_weights(3)
-
-
-@lru_cache(maxsize=None)
-def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of the coefficient layout (shared, read-only)."""
-    i, j = np.array(coeff_pairs(dim)).T
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+# Jacobi pivots (p, q) in cyclic order, each with the slots of a_pq, a_rp and
+# a_rq among the off-diagonal entries (a12, a13, a23), r being the third index.
+_PIVOTS = ((0, 1, 0, 1, 2), (0, 2, 1, 0, 2), (1, 2, 2, 0, 1))
 
 
 def coeffs_to_matrices(coeffs: np.ndarray, dim: int = 3) -> np.ndarray:
-    """(..., n_coeffs) coefficient array -> (..., dim, dim) symmetric matrices."""
+    """(..., 6) coefficient array -> (..., 3, 3) symmetric matrices (dim, if given, must be 3)."""
+    if dim != 3:
+        raise ValueError(f"only 3x3 tensors are supported, got dim = {dim}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    i, j = _pair_index(dim)
-    out = np.zeros(coeffs.shape[:-1] + (dim, dim))
-    out[..., i, j] = out[..., j, i] = coeffs
+    out = np.zeros(coeffs.shape[:-1] + (3, 3))
+    out[..., _ROWS, _COLS] = out[..., _COLS, _ROWS] = coeffs
     return out
 
 
 def matrices_to_coeffs(mats: np.ndarray) -> np.ndarray:
-    """(..., dim, dim) symmetric matrices -> (..., n_coeffs); averages the halves."""
+    """(..., 3, 3) symmetric matrices -> (..., 6); averages the off-diagonal halves."""
     mats = np.asarray(mats, dtype=np.float64)
-    dim = mats.shape[-1]
-    i, j = _pair_index(dim)
-    out = np.empty(mats.shape[:-2] + (i.size,))
-    out[..., :dim] = mats[..., i[:dim], i[:dim]]
-    out[..., dim:] = 0.5 * (mats[..., i[dim:], j[dim:]] + mats[..., j[dim:], i[dim:]])
+    if mats.shape[-2:] != (3, 3):
+        raise ValueError(f"expected (..., 3, 3) matrices, got shape {mats.shape}")
+    out = np.empty(mats.shape[:-2] + (6,))
+    out[..., :3] = mats[..., _ROWS[:3], _COLS[:3]]
+    out[..., 3:] = 0.5 * (mats[..., _ROWS[3:], _COLS[3:]] + mats[..., _COLS[3:], _ROWS[3:]])
     return out
 
 
 def jacobi_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched cyclic Jacobi eigendecomposition of symmetric matrices.
+    """Batched cyclic Jacobi eigendecomposition of symmetric 3x3 matrices.
+
+    Each rotation updates only the six independent entries (read from the
+    diagonal and upper triangle), held as three diagonal and three
+    off-diagonal arrays of length n.  A pivot (p, q) rotates where
+    |a_pq| > 1e-14 sqrt(|a_pp|) sqrt(|a_qq|); the product of square roots
+    cannot overflow, as sqrt(|a_pp a_qq|) does for entries above ~1e154.
 
     Parameters
     ----------
-    mats : (..., m, m) array of real symmetric matrices.
+    mats : (..., 3, 3) array of real symmetric matrices.
 
     Returns
     -------
-    values : (..., m) eigenvalues in descending order.
-    vectors : (..., m, m) orthonormal columns, vectors[..., :, k] paired with
+    values : (..., 3) eigenvalues in descending order.
+    vectors : (..., 3, 3) orthonormal columns, vectors[..., :, k] paired with
         values[..., k].  The sign of each eigenvector is fixed so that its
         largest-magnitude component is positive.
     """
-    a = np.array(mats, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    a = np.asarray(mats, dtype=np.float64)
+    if a.shape[-2:] != (3, 3):
+        raise ValueError(f"expected (..., 3, 3) matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in symmetric matrix input")
     lead = a.shape[:-2]
-    m = a.shape[-1]
-    a = a.reshape(-1, m, m)
-    b = a.shape[0]
-    v = np.tile(np.eye(m), (b, 1, 1))
-    iu, ju = np.triu_indices(m, k=1)
-
-    def _unconverged():
-        # pivot criterion relative to sqrt(|app*aqq|): for positive definite
-        # input this is the Demmel-Veselic test, which preserves the relative
-        # accuracy of even the smallest eigenvalues of heavily graded matrices
-        diag = np.abs(a[:, np.arange(m), np.arange(m)])
-        gate = _JACOBI_TOL * np.sqrt(diag[:, iu] * diag[:, ju])
-        return np.abs(a[:, iu, ju]) > gate
+    a = a.reshape(-1, 3, 3)
+    diag = [a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]]
+    off = [a[:, 0, 1], a[:, 0, 2], a[:, 1, 2]]
+    vec = [np.tile(e, (a.shape[0], 1)) for e in np.eye(3)]  # eigenvector columns
 
     for _ in range(_JACOBI_MAX_SWEEPS):
-        if iu.size == 0 or not _unconverged().any():
+        rotated = False  # a sweep that rotates nothing has converged
+        for p, q, pq, rp, rq in _PIVOTS:
+            app, aqq, apq = diag[p], diag[q], off[pq]
+            # pivot criterion relative to sqrt(|app|) sqrt(|aqq|): for positive
+            # definite input this is the Demmel-Veselic test, which preserves
+            # the relative accuracy of even the smallest eigenvalues of graded
+            # matrices
+            rotate = np.abs(apq) > _JACOBI_TOL * np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq))
+            if not rotate.any():
+                continue
+            rotated = True
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta = (aqq - app) / (2.0 * apq)
+                sign = np.where(theta >= 0.0, 1.0, -1.0)
+                t_raw = sign / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            good = rotate & np.isfinite(t_raw)
+            t = np.where(good, t_raw, 0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            shift = t * apq
+            diag[p] = app - shift
+            diag[q] = aqq + shift
+            off[pq] = np.where(good, 0.0, apq)
+            arp, arq = off[rp], off[rq]
+            off[rp] = c * arp - s * arq
+            off[rq] = s * arp + c * arq
+            vp, vq = vec[p], vec[q]
+            c, s = c[:, None], s[:, None]
+            vec[p] = c * vp - s * vq
+            vec[q] = s * vp + c * vq
+        if not rotated:
             break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[:, p, q].copy()
-                app_d = np.abs(a[:, p, p])
-                aqq_d = np.abs(a[:, q, q])
-                rotate = np.abs(apq) > _JACOBI_TOL * np.sqrt(app_d * aqq_d)
-                if not rotate.any():
-                    continue
-                app = a[:, p, p].copy()
-                aqq = a[:, q, q].copy()
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    theta = (aqq - app) / (2.0 * apq)
-                    sign = np.where(theta >= 0.0, 1.0, -1.0)
-                    t_raw = sign / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                good = rotate & np.isfinite(t_raw)
-                t = np.where(good, t_raw, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                a[:, p, p] = app - t * apq
-                a[:, q, q] = aqq + t * apq
-                a[good, p, q] = 0.0
-                a[good, q, p] = 0.0
-                for r in range(m):
-                    if r == p or r == q:
-                        continue
-                    arp = a[:, r, p].copy()
-                    arq = a[:, r, q].copy()
-                    a[:, r, p] = c * arp - s * arq
-                    a[:, p, r] = a[:, r, p]
-                    a[:, r, q] = s * arp + c * arq
-                    a[:, q, r] = a[:, r, q]
-                vp = v[:, :, p].copy()
-                vq = v[:, :, q].copy()
-                v[:, :, p] = c[:, None] * vp - s[:, None] * vq
-                v[:, :, q] = s[:, None] * vp + c[:, None] * vq
     else:
         raise RuntimeError(
             f"Jacobi eigendecomposition did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
         )
-    vals = a[:, np.arange(m), np.arange(m)]
+    vals = np.stack(diag, axis=1)
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(v, order[:, None, :], axis=2)
+    vecs = np.take_along_axis(np.stack(vec, axis=2), order[:, None, :], axis=2)
     # sign convention: largest-magnitude component of each eigenvector positive
     comp = np.argmax(np.abs(vecs), axis=1)
     picked = np.take_along_axis(vecs, comp[:, None, :], axis=1)[:, 0, :]
     vecs = vecs * np.where(picked < 0.0, -1.0, 1.0)[:, None, :]
-    return vals.reshape(lead + (m,)), vecs.reshape(lead + (m, m))
+    return vals.reshape(lead + (3,)), vecs.reshape(lead + (3, 3))
 
 
 def eigh_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a (..., 6) coefficient array of 3x3 matrices."""
-    return jacobi_eigh(coeffs_to_matrices(coeffs, 3))
+    return jacobi_eigh(coeffs_to_matrices(coeffs))
 
 
 def assemble_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

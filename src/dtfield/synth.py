@@ -21,8 +21,9 @@ from .field import TensorField
 from .spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
+    _COLS,
+    _ROWS,
     _W3,
-    _pair_index,
     matrices_to_coeffs,
     project_full_coeffs,
 )
@@ -110,8 +111,7 @@ def design_matrix(directions: np.ndarray) -> np.ndarray:
     """Rows [gx^2, gy^2, gz^2, 2 gx gy, 2 gx gz, 2 gy gz] so that
     row @ coeffs = g^T w g for the independent-coefficient tensor layout."""
     g = np.asarray(directions, dtype=np.float64)
-    i, j = _pair_index(3)
-    return np.ascontiguousarray(g[:, i] * g[:, j] * _W3)  # C order: sums follow layout
+    return np.ascontiguousarray(g[:, _ROWS] * g[:, _COLS] * _W3)  # C order: sums follow layout
 
 
 def add_rician(value: float, spec: NoiseSpec, rng: np.random.Generator) -> float:

@@ -53,11 +53,10 @@ def test_generate_rejects_non_positive_threads(tmp_path, capsys):
     # --threads has no effect, but it is still checked and recorded
     out = tmp_path / "out"
     for threads in ("0", "-3"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["generate", "--n", "4", "--sigma2", "900", "--threads", threads,
-                  "--out", str(out)])
-        assert excinfo.value.code == 2
-        assert "threads must be >= 1" in capsys.readouterr().err
+        code, _, err = run(capsys, "generate", "--n", "4", "--sigma2", "900",
+                           "--threads", threads, "--out", str(out))
+        assert code == 2
+        assert "threads must be >= 1" in err
         assert not out.exists()
 
 
@@ -98,10 +97,9 @@ def test_generate_zero_noise_roundtrips(tmp_path, capsys):
 
 
 def test_generate_rejects_unknown_phantom(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["generate", "--phantom", "helix", "--out", str(tmp_path)])
-    assert excinfo.value.code == 2
-    assert "usage" in capsys.readouterr().err
+    code, _, err = run(capsys, "generate", "--phantom", "helix", "--out", str(tmp_path))
+    assert code == 2
+    assert "usage" in err
 
 
 # ---- denoise / inpaint ----
@@ -179,9 +177,9 @@ def test_denoise_epsilon_above_data_floor_starts_feasible(tmp_path, capsys):
 
 
 def test_advertised_solve_defaults_match_omitted_flags(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["denoise", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
+    code, stdout, _ = run(capsys, "denoise", "--help")
+    assert code == 0
+    help_text = " ".join(stdout.split())
     defaults = re.findall(r"--([\w-]+) V .*?\(default: ([^)]+)\)", help_text)
     assert {name for name, _ in defaults} == {opt.name for opt in _SOLVE_OPTS}
     data = generate(capsys, tmp_path)
@@ -287,10 +285,9 @@ def test_config_file_applies_and_flags_override(tmp_path, capsys):
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("flux = 9\n")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["generate", "--config", str(config), "--out", str(tmp_path / "g")])
-    assert excinfo.value.code == 2
-    assert "flux" in capsys.readouterr().err
+    code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(tmp_path / "g"))
+    assert code == 2
+    assert "flux" in err
 
 
 @pytest.mark.parametrize("line", ["grad-mode = analytic\n", "fd-step = 1e-6\n",
@@ -299,19 +296,18 @@ def test_config_removed_solver_keys_exit_2(tmp_path, capsys, line):
     data = generate(capsys, tmp_path)
     config = tmp_path / "run.conf"
     config.write_text(line)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["denoise", str(data / "noisy.dtf"), "--config", str(config),
-              "--out", str(tmp_path / "rec.dtf")])
-    assert excinfo.value.code == 2
-    assert "unknown config key(s)" in capsys.readouterr().err
+    code, _, err = run(capsys, "denoise", str(data / "noisy.dtf"), "--config", str(config),
+                       "--out", str(tmp_path / "rec.dtf"))
+    assert code == 2
+    assert "unknown config key(s)" in err
 
 
 def test_config_malformed_line_exits_2(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("just words\n")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["generate", "--config", str(config), "--out", str(tmp_path / "g")])
-    assert excinfo.value.code == 2
+    code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(tmp_path / "g"))
+    assert code == 2
+    assert "expected 'key = value'" in err
 
 
 def test_sweep_writes_one_output_per_value(tmp_path, capsys):
@@ -330,10 +326,10 @@ def test_sweep_writes_one_output_per_value(tmp_path, capsys):
 
 def test_sweep_rejects_other_keys(tmp_path, capsys):
     data = generate(capsys, tmp_path)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["denoise", str(data / "noisy.dtf"), "--sweep", "beta=1,2",
-              "--out", str(tmp_path / "rec.dtf")])
-    assert excinfo.value.code == 2
+    code, _, err = run(capsys, "denoise", str(data / "noisy.dtf"), "--sweep", "beta=1,2",
+                       "--out", str(tmp_path / "rec.dtf"))
+    assert code == 2
+    assert "--sweep expects alpha=" in err
 
 
 # ---- evaluate ----

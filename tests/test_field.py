@@ -26,7 +26,6 @@ from dtfield.field import (
 )
 from dtfield.spd import (
     EPSILON_DEFAULT,
-    coeff_weights,
     coeffs_to_matrices,
     dist_log_euclidean,
     exp_coeffs,
@@ -366,7 +365,7 @@ def test_theta_brute_force():
     rng = np.random.default_rng(54)
     coeffs = rng.standard_normal((3, 4, 6))
     p = 1.7
-    w = coeff_weights(3)
+    w = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
     total = 0.0
     for r in range(3):
         for c in range(4):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dtfield.field import Mask
+from dtfield.field import Mask, TensorField
 from dtfield.fileio import (
     FormatError,
     dwis_from_text,
@@ -152,6 +152,18 @@ def test_field_content_validation_propagates():
     text = "DTF1 1 1 3 36.0\n-1.0 1.0 1.0 0.0 0.0 0.0\n"
     with pytest.raises(ValueError, match="positive definite"):
         field_from_text(text)
+
+
+def test_indefinite_pixel_with_huge_entries_is_rejected(tmp_path):
+    # eigenvalues (3e200, 1, -1e200): an overflowing Jacobi pivot gate once
+    # left this matrix unrotated, and its diagonal (1e200, 1e200, 1) passed as SPD
+    pixel = [1e200, 1e200, 1.0, 2e200, 0.0, 0.0]
+    with pytest.raises(ValueError, match="not positive definite"):
+        TensorField(np.array(pixel).reshape(1, 1, 6), log_bound=1000.0)
+    path = tmp_path / "huge.dtf"
+    path.write_text("DTF1 1 1 3 1000.0\n" + " ".join(map(repr, pixel)) + "\n")
+    with pytest.raises(ValueError, match="not positive definite"):
+        read_field(path)
 
 
 def test_mask_bad_row_characters():

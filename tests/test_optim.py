@@ -22,7 +22,6 @@ from dtfield.optim import (
     solve,
 )
 from dtfield.spd import (
-    coeff_weights,
     dist_log_euclidean,
     exp_coeffs,
     log_coeffs,
@@ -35,7 +34,7 @@ from dtfield.synth import (
     make_staircase_phantom,
 )
 
-W3 = coeff_weights(3)
+W3 = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])  # full-matrix Frobenius weights
 
 
 def random_field(height, width, seed, scale=0.8):

@@ -2,11 +2,13 @@
 metrics, projections, geodesics, and fractional anisotropy."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dtfield import spd
 from dtfield.spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
@@ -15,8 +17,6 @@ from dtfield.spd import (
     SpdTensor,
     SymMat,
     assemble_from_eig,
-    coeff_pairs,
-    coeff_weights,
     coeffs_to_matrices,
     dist_affine_invariant,
     dist_log_euclidean,
@@ -37,6 +37,9 @@ from dtfield.spd import (
     project_spec,
     sym_eig,
     weighted_norm_sq,
+    _COLS,
+    _ROWS,
+    _W3,
     _certified_feasible,
 )
 
@@ -59,8 +62,11 @@ def spd_in_log_ball(rng, z):
 # ---- coefficient layout ----
 
 def test_coeff_layout_dim3():
-    assert coeff_pairs(3) == [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-    assert coeff_weights(3).tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    assert list(zip(_ROWS.tolist(), _COLS.tolist())) == [
+        (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    assert _W3.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    for constant in (_ROWS, _COLS, _W3):
+        assert not constant.flags.writeable
 
 
 def test_coeffs_matrix_roundtrip_batched():
@@ -74,20 +80,28 @@ def test_coeffs_matrix_roundtrip_batched():
     asym = np.array([[1.0, 2.0, 0.0], [4.0, 5.0, 0.0], [0.0, 0.0, 6.0]])
     c2 = matrices_to_coeffs(asym)
     assert c2[3] == 3.0
-    # elementwise loop reference, every dim; C-contiguous coefficients keep
-    # downstream reductions (weighted_norm_sq) bit-reproducible
-    for dim in range(1, 5):
-        n = dim * (dim + 1) // 2
-        c = rng.standard_normal((2, 3, n))
-        mats = rng.standard_normal((2, 3, dim, dim))
-        ref_m = np.zeros((2, 3, dim, dim))
-        ref_c = np.zeros((2, 3, n))
-        for k, (i, j) in enumerate(coeff_pairs(dim)):
-            ref_m[..., i, j] = ref_m[..., j, i] = c[..., k]
-            ref_c[..., k] = mats[..., i, i] if i == j else 0.5 * (mats[..., i, j] + mats[..., j, i])
-        assert np.array_equal(coeffs_to_matrices(c, dim), ref_m)
-        assert np.array_equal(matrices_to_coeffs(mats), ref_c)
-        assert matrices_to_coeffs(mats).flags.c_contiguous
+    # elementwise loop reference; C-contiguous coefficients keep downstream
+    # reductions (weighted_norm_sq) bit-reproducible
+    c = rng.standard_normal((2, 3, 6))
+    mats = rng.standard_normal((2, 3, 3, 3))
+    ref_m = np.zeros((2, 3, 3, 3))
+    ref_c = np.zeros((2, 3, 6))
+    for k, (i, j) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
+        ref_m[..., i, j] = ref_m[..., j, i] = c[..., k]
+        ref_c[..., k] = mats[..., i, i] if i == j else 0.5 * (mats[..., i, j] + mats[..., j, i])
+    assert np.array_equal(coeffs_to_matrices(c), ref_m)
+    assert np.array_equal(matrices_to_coeffs(mats), ref_c)
+    assert matrices_to_coeffs(mats).flags.c_contiguous
+
+
+def test_layout_rejects_other_sizes():
+    with pytest.raises(ValueError, match="3x3"):
+        coeffs_to_matrices(np.zeros(3), 2)
+    for shape in ((2, 2), (4, 4), (5, 3, 2)):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
+            matrices_to_coeffs(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
+            jacobi_eigh(np.zeros(shape))
 
 
 def test_weighted_norm_sq_is_independent_of_memory_layout():
@@ -124,8 +138,11 @@ def test_sym_eig_diagonal_matrix():
 
 
 def test_sym_eig_2x2_exchange():
-    values, _ = jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(values, [1.0, -1.0], atol=1e-15)
+    # the 2x2 exchange block of a 3x3 matrix: one rotation by pi/4
+    values, vectors = jacobi_eigh(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert np.allclose(values, [1.0, 0.0, -1.0], atol=1e-15)
+    h = np.sqrt(0.5)
+    assert np.allclose(vectors, [[h, 0.0, h], [h, 0.0, -h], [0.0, 1.0, 0.0]], atol=1e-15)
 
 
 def test_sym_eig_is_eigh_coeffs():
@@ -163,6 +180,61 @@ def test_jacobi_rejects_nonfinite():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         jacobi_eigh(bad)
+
+
+def test_jacobi_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(spd, "_JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
+        jacobi_eigh(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]))
+    vals, _ = jacobi_eigh(np.diag([1.0, 3.0, 2.0]))  # converged before the first sweep
+    assert vals.tolist() == [3.0, 2.0, 1.0]
+
+
+def test_jacobi_gate_does_not_overflow_on_large_diagonals():
+    # sqrt(|a_pp a_qq|) overflowed above ~1.3e154: no rotation ran, and the
+    # diagonal came back as the eigenvalues
+    mat = np.array([[1e200, 2e200, 0.0], [2e200, 1e200, 0.0], [0.0, 0.0, 1.0]])
+    vals, vecs = jacobi_eigh(mat)
+    np.testing.assert_allclose(vals, [3e200, 1.0, -1e200], rtol=1e-15)
+    h = np.sqrt(0.5)
+    np.testing.assert_allclose(vecs, [[h, 0.0, h], [h, 0.0, -h], [0.0, 1.0, 0.0]], atol=1e-15)
+
+
+def eigh_digest_families():
+    """Seeded 3x3 coefficient families built with exact float operations only."""
+    rng = np.random.default_rng(20)
+    n = 400
+    random = rng.standard_normal((n, 6))
+    # graded: D S D with D = diag(2^k), exact power-of-two scalings of an SPD S
+    s = rng.standard_normal((n, 6))
+    s[:, :3] = np.abs(s[:, :3]) + 3.0
+    d = np.ldexp(1.0, rng.integers(-18, 19, size=(n, 3)))
+    graded = s * np.concatenate([d * d, d[:, [0]] * d[:, [1]], d[:, [0]] * d[:, [2]],
+                                 d[:, [1]] * d[:, [2]]], axis=1)
+    diagonal = np.concatenate([rng.standard_normal((n, 3)), np.zeros((n, 3))], axis=1)
+    tiny_off = np.concatenate([np.abs(rng.standard_normal((n, 3))) + 0.1,
+                               1e-300 * rng.standard_normal((n, 3))], axis=1)
+    scaled = np.concatenate([1e150 * rng.standard_normal((n // 2, 6)),
+                             1e-150 * rng.standard_normal((n // 2, 6))])
+    # equal diagonal entries and negative off-diagonal ones: theta = -0.0
+    ties = np.concatenate([np.repeat(rng.standard_normal((n, 1)), 3, axis=1),
+                           -np.abs(rng.standard_normal((n, 3)))], axis=1)
+    fixed = np.array([np.zeros(6), [1.0, 1, 1, 0, 0, 0], [0.0, 0, 0, 1, 0, 0],
+                      [2.0, 2, 2, 1, 1, 1], [1.0, 1, 1, -1, -1, -1]])
+    return np.concatenate([random, graded, diagonal, tiny_off, scaled, ties, fixed])
+
+
+def test_eigh_coeffs_bits_are_pinned():
+    # sha256 of the eigensolver's output bytes, batched and one matrix at a
+    # time; a change of any bit of any value or vector changes it
+    c = eigh_digest_families()
+    digest = hashlib.sha256()
+    for batch in [c] + list(c[::7]):
+        vals, vecs = eigh_coeffs(batch)
+        digest.update(vals.tobytes())
+        digest.update(vecs.tobytes())
+    assert digest.hexdigest() == (
+        "6f948e2e39451447fede9cd4a8503ca1d90417817aeca2fd7b1489e1bda683f6")
 
 
 def test_jacobi_batched_matches_scalar():
