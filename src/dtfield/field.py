@@ -228,8 +228,7 @@ def _power_p(norm_sq: np.ndarray, p: float) -> np.ndarray:
 
 def _power_grad_factor(norm_sq: np.ndarray, p: float) -> np.ndarray:
     """d/dnorm factor norm^(p-2), with the 0/0 limit resolved to 0."""
-    safe = np.where(norm_sq > 0.0, norm_sq, 1.0)
-    return np.where(norm_sq > 0.0, np.power(safe, 0.5 * p - 1.0), 0.0)
+    return np.power(norm_sq, 0.5 * p - 1.0, out=np.zeros_like(norm_sq), where=norm_sq > 0.0)
 
 
 # ---- batched evaluators (leading axes allowed before (height, width, 6)) ----
@@ -248,9 +247,9 @@ def fidelity_energy(rep: np.ndarray, data_rep: np.ndarray, mask_values: np.ndarr
     energy = masked.sum(axis=(-2, -1))
     if not need_grad:
         return energy
-    h = _power_grad_factor(nsq, p)
-    grad = (p * np.where(mask_values, h, 0.0))[..., None] * (_W3 * diff)
-    return energy, grad
+    diff *= (p * np.where(mask_values, _power_grad_factor(nsq, p), 0.0))[..., None]
+    diff *= _W3
+    return energy, diff
 
 
 def phi_kernel_offsets(height: int, width: int,
@@ -288,6 +287,8 @@ def pairwise_energy(rep: np.ndarray, offsets: list[tuple[int, int, float]],
     """Sum over ordered pixel pairs of kernel * distance^p in coordinate space.
 
     rep is (..., height, width, 6); offsets comes from phi_kernel_offsets.
+    The gradient sums the unweighted pair terms and applies the Frobenius
+    weights once at the end: they are 1 and 2, so the bits are the same.
     """
     height, width = rep.shape[-3], rep.shape[-2]
     energy = np.zeros(rep.shape[:-3])
@@ -309,11 +310,11 @@ def pairwise_energy(rep: np.ndarray, offsets: list[tuple[int, int, float]],
         nsq = weighted_norm_sq(diff)
         energy = energy + 2.0 * kernel * _power_p(nsq, p).sum(axis=(-2, -1))
         if need_grad:
-            h = _power_grad_factor(nsq, p)
-            t = (2.0 * kernel * p * h)[..., None] * (_W3 * diff)
-            grad[..., rows_a, cols_a, :] += t
-            grad[..., rows_b, cols_b, :] -= t
+            diff *= (2.0 * kernel * p * _power_grad_factor(nsq, p))[..., None]
+            grad[..., rows_a, cols_a, :] += diff
+            grad[..., rows_b, cols_b, :] -= diff
     if need_grad:
+        grad *= _W3
         return energy, grad
     return energy
 
@@ -337,16 +338,17 @@ def theta_energy(coeffs: np.ndarray, p: float, need_grad: bool = False):
     energy = _power_p(gsq, p).sum(axis=(-2, -1))
     if not need_grad:
         return energy
-    h = _power_grad_factor(gsq, p)
+    h = p * _power_grad_factor(gsq, p)
     grad = np.zeros_like(coeffs)
     if dx is not None:
-        t = (p * h[..., :, :-1])[..., None] * (_W3 * dx)
-        grad[..., :, 1:, :] += t
-        grad[..., :, :-1, :] -= t
+        dx *= h[..., :, :-1, None]
+        grad[..., :, 1:, :] += dx
+        grad[..., :, :-1, :] -= dx
     if dy is not None:
-        t = (p * h[..., :-1, :])[..., None] * (_W3 * dy)
-        grad[..., 1:, :, :] += t
-        grad[..., :-1, :, :] -= t
+        dy *= h[..., :-1, :, None]
+        grad[..., 1:, :, :] += dy
+        grad[..., :-1, :, :] -= dy
+    grad *= _W3
     return energy, grad
 
 

@@ -23,6 +23,13 @@ Ladders are warm, starting at twice the last accepted step (the first at
 twice init_step).  A run stops only after a plain step's fresh ladder from
 the current point also fails; that is the first ladder of a re-solve from
 the result, so re-solving changes the objective by less than the tolerance.
+
+All three objectives are convex in the iterate's coordinates, so
+f(x) - f(trial) <= <grad, x - trial>.  A plain ladder therefore skips,
+unevaluated, every trial whose bound falls short of the decrease threshold
+by half of it (_ruled_out): the run would have rejected it anyway, so
+accepted steps and results are unchanged and only evaluations fall.  A
+ladder that would end on a skipped trial evaluates it, for the plateau test.
 """
 from __future__ import annotations
 
@@ -41,9 +48,23 @@ _MAX_BACKTRACKS = 60
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of plain steps
 _BACKTRACK = 0.5  # step shrink factor of every ladder
 
-# an unaccepted line search whose best trial does not ascend past this
-# relative slack is a floating-point plateau, i.e. convergence
+# relative rounding slack of objective values: an unaccepted line search
+# whose best trial does not ascend past it is a floating-point plateau, i.e.
+# convergence
 _PLATEAU_REL = 1e-12
+
+
+def _ruled_out(lin: float, threshold: float, current: float) -> bool:
+    """Whether convexity rules out a trial's decrease of threshold.
+
+    lin = <grad f(x), x - trial>; every objective is convex in the iterate's
+    coordinates, so f(x) - f(trial) <= lin.  The trial is ruled out when lin
+    falls short of threshold by half of it, and by no less than the rounding
+    slack of f(x), so that a computed decrease cannot reach threshold either.
+    A NaN or infinite lin rules nothing out.
+    """
+    slack = max(0.5 * threshold, _PLATEAU_REL * abs(current))
+    return -math.inf < lin < threshold - slack
 
 
 class LineSearchError(RuntimeError):
@@ -75,8 +96,9 @@ class SolveReport:
 
     objective_trajectory[0] is the objective at the initial point; one entry
     follows per accepted iteration, never increasing.  evaluations counts the
-    objective values: the initial one and one per line-search trial; restarts
-    counts the momentum steps redone as plain steps.
+    objective values: the initial one and one per evaluated line-search
+    trial (plain-step trials that convexity rules out are skipped and not
+    counted); restarts counts the momentum steps redone as plain steps.
     """
 
     iterations: int
@@ -193,20 +215,28 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     started = time.perf_counter()
     pack = Objective(objective, data, mask_values, params)
 
-    def ladder(base, grad, step, stops):
+    def ladder(base, grad, step, stops, plain=False):
         """Backtrack over the trials P(base - step * grad / W) until
-        stops(trial point - base, trial value, step); that trial is accepted
-        if it lowers f(x) by the threshold.  Returns the accepted (point,
-        value, next start step) or None, and the best trial value."""
+        stops(trial point - base, <grad, trial point - base>, trial value,
+        step); that trial is accepted if it lowers f(x) by the threshold.  A
+        plain ladder (base = x) skips the trials that convexity rules out,
+        but evaluates its last trial if it would otherwise end on a skip.
+        Returns the accepted (point, value, next start step) or None, and the
+        best trial value."""
         nonlocal evaluations
         direction = grad / _W3  # Frobenius-geometry descent direction
         best = np.inf
-        for _ in range(_MAX_BACKTRACKS + 1):
+        for rung in range(_MAX_BACKTRACKS + 1):
             candidate = pack.project(base - step * direction)
+            d = candidate - base
+            slope = float((grad * d).sum())
+            if plain and rung < _MAX_BACKTRACKS and _ruled_out(-slope, threshold, current):
+                step *= _BACKTRACK
+                continue
             trial = float(pack.value(candidate))
             evaluations += 1
             best = min(best, trial)
-            if stops(candidate - base, trial, step):
+            if stops(d, slope, trial, step):
                 if current - trial >= threshold:
                     return (candidate, trial, step / _BACKTRACK), best
                 break
@@ -229,8 +259,8 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             # momentum step from y, stopped by the descent-lemma bound at y
             y = x + ((t - 1.0) / t_next) * (x - x_prev)
             f_y, grad = pack.value_grad(y)  # comes with the gradient: not counted
-            accepted, _ = ladder(y, grad, start, lambda d, trial, step: trial <= f_y + float(
-                (grad * d).sum() + weighted_norm_sq(d).sum() / (2 * step)))
+            accepted, _ = ladder(y, grad, start, lambda d, slope, trial, step: (
+                trial <= f_y + float(slope + weighted_norm_sq(d).sum() / (2 * step))))
             if accepted is None:  # restart: redo this iteration as a plain step
                 restarts += 1
                 t = 1.0
@@ -242,9 +272,9 @@ def solve(data: TensorField, mask, params: FunctionalParams,
                 break
             best_trial = np.inf
             for step in (start,) if start == fresh else (start, fresh):  # warm, then fresh
-                accepted, best = ladder(x, grad, step, lambda d, trial, _: (
+                accepted, best = ladder(x, grad, step, lambda d, slope, trial, _: (
                     current - trial >= threshold
-                    and trial <= current + _ARMIJO_C * float((grad * d).sum())))
+                    and trial <= current + _ARMIJO_C * slope), plain=True)
                 best_trial = min(best_trial, best)
                 if accepted is not None:
                     break

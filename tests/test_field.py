@@ -503,6 +503,90 @@ def test_evaluator_gradients_match_finite_differences():
     assert np.abs(grad - fd).max() < 1e-7 * max(1.0, np.abs(fd).max())
 
 
+# Reference gradients written the direct way: the Frobenius weights applied
+# to every pair term before it is summed.  The evaluators apply them once to
+# the sum; the weights are 1 and 2, so the bits must be the same.
+W3 = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+
+
+def reference_grad_factor(nsq, p):
+    safe = np.where(nsq > 0.0, nsq, 1.0)
+    return np.where(nsq > 0.0, np.power(safe, 0.5 * p - 1.0), 0.0)
+
+
+def reference_fidelity(rep, data_rep, mask, p):
+    diff = rep - data_rep
+    nsq = weighted_norm_sq(diff)
+    energy = np.where(mask, np.power(nsq, 0.5 * p), 0.0).sum(axis=(-2, -1))
+    h = reference_grad_factor(nsq, p)
+    return energy, (p * np.where(mask, h, 0.0))[..., None] * (W3 * diff)
+
+
+def reference_pairwise(rep, offsets, p):
+    height, width = rep.shape[-3], rep.shape[-2]
+    energy = np.zeros(rep.shape[:-3])
+    grad = np.zeros_like(rep)
+    for di, dj, kernel in offsets:
+        if di >= height or abs(dj) >= width:
+            continue
+        rows_a, rows_b = slice(0, height - di), slice(di, height)
+        if dj >= 0:
+            cols_a, cols_b = slice(0, width - dj), slice(dj, width)
+        else:
+            cols_a, cols_b = slice(-dj, width), slice(0, width + dj)
+        diff = rep[..., rows_a, cols_a, :] - rep[..., rows_b, cols_b, :]
+        nsq = weighted_norm_sq(diff)
+        energy = energy + 2.0 * kernel * np.power(nsq, 0.5 * p).sum(axis=(-2, -1))
+        t = (2.0 * kernel * p * reference_grad_factor(nsq, p))[..., None] * (W3 * diff)
+        grad[..., rows_a, cols_a, :] += t
+        grad[..., rows_b, cols_b, :] -= t
+    return energy, grad
+
+
+def reference_theta(coeffs, p):
+    gsq = np.zeros(coeffs.shape[:-1])
+    dx = coeffs[..., :, 1:, :] - coeffs[..., :, :-1, :]
+    gsq[..., :, :-1] += weighted_norm_sq(dx)
+    dy = coeffs[..., 1:, :, :] - coeffs[..., :-1, :, :]
+    gsq[..., :-1, :] += weighted_norm_sq(dy)
+    energy = np.power(gsq, 0.5 * p).sum(axis=(-2, -1))
+    h = reference_grad_factor(gsq, p)
+    grad = np.zeros_like(coeffs)
+    t = (p * h[..., :, :-1])[..., None] * (W3 * dx)
+    grad[..., :, 1:, :] += t
+    grad[..., :, :-1, :] -= t
+    t = (p * h[..., :-1, :])[..., None] * (W3 * dy)
+    grad[..., 1:, :, :] += t
+    grad[..., :-1, :, :] -= t
+    return energy, grad
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_evaluator_gradients_bit_match_reference(p, batch):
+    rng = np.random.default_rng(62)
+    shape = batch + (5, 6, 6)
+    rep = rng.standard_normal(shape)
+    # repeated pixels and constant rows: pair, forward and fidelity
+    # differences of exactly zero (the nsq == 0 branch)
+    rep[..., 1, :, :] = rep[..., 0, :, :]
+    rep[..., 3, :, :] = rep[..., 3, :1, :]
+    data = rng.standard_normal(shape[-3:])
+    data[2:4] = rep[(0,) * len(batch) + (slice(2, 4),)]
+    mask = rng.random((5, 6)) > 0.3
+    mask[0, 0] = True
+    offsets = phi_kernel_offsets(5, 6, FunctionalParams(p=p, s=0.5, l=1, n_rho=3))
+    for got, want in [
+        (fidelity_energy(rep, data, mask, p, need_grad=True),
+         reference_fidelity(rep, data, mask, p)),
+        (pairwise_energy(rep, offsets, p, need_grad=True), reference_pairwise(rep, offsets, p)),
+        (theta_energy(rep, p, need_grad=True), reference_theta(rep, p)),
+    ]:
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[1].shape == shape
+
+
 # ---- the Objective bundle ----
 
 def test_objective_value_grad_and_batches_agree_for_every_kind():

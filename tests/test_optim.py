@@ -12,6 +12,7 @@ from dtfield.field import (
     functional_F,
     functional_FC,
 )
+from dtfield import optim
 from dtfield.optim import (
     LineSearchError,
     SolveReport,
@@ -438,6 +439,73 @@ def test_default_init_seeds_masked_pixels():
     assert np.allclose(init.coeffs[0, 2, :3], seed_diag, rtol=1e-12)
     assert np.all(init.coeffs[0, 2, 3:] == 0.0)
     assert np.array_equal(init.coeffs[mask], data.coeffs[mask])
+
+
+@pytest.mark.parametrize("objective", ["f-log-euclidean", "f-euclidean", "fc"])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "hole"])
+def test_convexity_skip_changes_only_the_evaluation_count(objective, masked, monkeypatch):
+    # a plain-ladder trial that convexity rules out is not evaluated; an
+    # evaluation would have rejected it, so the run is the same to the bit
+    data, mask = noisy_staircase_8x8()
+    if masked:
+        present = np.ones((8, 8), dtype=bool)
+        present[2:5, 3:6] = False
+        mask = Mask(present)
+    params = FunctionalParams(p=1.1, alpha=2.75, beta=2.0, n_rho=3)
+    config = SolverConfig(max_iters=100_000, rel_tol=1e-8)
+    out, report = solve(data, mask, params, objective=objective, config=config)
+    monkeypatch.setattr(optim, "_ruled_out", lambda lin, threshold, current: False)
+    out_all, report_all = solve(data, mask, params, objective=objective, config=config)
+    assert report.converged and report_all.converged
+    assert np.array_equal(out.coeffs, out_all.coeffs)
+    assert report.objective_trajectory == report_all.objective_trajectory
+    assert report.iterations == report_all.iterations
+    assert report.restarts == report_all.restarts
+    assert report.evaluations < report_all.evaluations
+
+
+@pytest.mark.parametrize("objective", ["f-log-euclidean", "f-euclidean", "fc"])
+def test_objectives_lie_above_their_tangent_planes(objective):
+    # the premise of the skip: f(trial) >= f(x) - <grad f(x), x - trial>
+    # for any two points, up to rounding
+    rng = np.random.default_rng(90)
+    data = random_field(5, 6, seed=91)
+    mask = np.ones((5, 6), dtype=bool)
+    mask[1:3, 2:4] = False
+    params = FunctionalParams(p=1.1, alpha=2.75, beta=2.0, n_rho=2)
+    pack = Objective(objective, data, mask, params)
+    for _ in range(20):
+        x = pack.start(random_field(5, 6, seed=int(rng.integers(1 << 30))))
+        value, grad = pack.value_grad(x)
+        for step in (1e-9, 1e-5, 1e-2, 1.0):
+            for trial in (pack.project(x - step * grad / W3),
+                          pack.project(x + step * rng.standard_normal(x.shape))):
+                lin = float((grad * (x - trial)).sum())
+                assert float(pack.value(trial)) >= value - lin - 1e-12 * abs(value)
+
+
+def test_ladder_of_skipped_trials_still_stops_on_a_plateau():
+    # steps this short cannot lower f by half of it: every trial is ruled
+    # out, and the last one is evaluated so the run stops as converged (not
+    # with a LineSearchError for want of any trial value)
+    data = random_field(4, 4, seed=3)
+    config = SolverConfig(max_iters=10, init_step=1e-12, rel_tol=0.5)
+    _, report = solve(data, Mask.full(4, 4), FunctionalParams(p=1.1, alpha=0.5, n_rho=2),
+                      config=config)
+    assert report.converged
+    assert report.iterations == 0
+    assert report.evaluations == 2
+
+
+def test_convexity_bound_never_skips_on_non_finite_values():
+    assert optim._ruled_out(0.0, 1.0, 100.0)
+    assert not optim._ruled_out(0.5, 1.0, 100.0)
+    for lin in (float("nan"), float("inf"), float("-inf")):
+        assert not optim._ruled_out(lin, 1.0, 100.0)
+    # half the threshold is below the rounding slack of f(x): only trials the
+    # linear model says ascend past that slack are ruled out
+    assert not optim._ruled_out(0.0, 1e-13, 100.0)
+    assert optim._ruled_out(-1e-9, 1e-13, 100.0)
 
 
 def test_line_search_error_on_ill_scaled_weight():
