@@ -389,16 +389,24 @@ class Objective:
         else:
             self.offsets = []
 
-    def start(self, init: TensorField) -> np.ndarray:
+    def start(self, init: TensorField | None = None) -> np.ndarray:
+        """Feasible coordinates of init.  None starts where optim.default_init
+        does (the data, masked-out pixels at project_full(0)), built from the
+        target so that the data is not decomposed again."""
+        if init is None:
+            x = self.target.copy()
+            floor = project_full_coeffs(np.zeros(6), self.params.epsilon, self.params.z)
+            x[~self.mask_values] = log_coeffs(floor) if self.log_mode else floor
+        else:
+            x = log_coeffs(init.coeffs) if self.log_mode else init.coeffs
         if self.log_mode:
             # a pixel can leave the feasible set through the ball or, when
             # -log(epsilon) < z, through the eigenvalue floor
-            x = log_coeffs(init.coeffs)
             reach = min(self.params.z, -math.log(self.params.epsilon))
             if (weighted_norm_sq(x) > reach ** 2 * (1.0 + 1e-12)).any():
                 x = project_log_coeffs(x, self.params.epsilon, self.params.z)
             return x
-        return project_full_coeffs(init.coeffs, self.params.epsilon, self.params.z)
+        return project_full_coeffs(x, self.params.epsilon, self.params.z)
 
     def _regularizer(self, x: np.ndarray, need_grad: bool = False):
         if self.kind == "fc":

@@ -15,10 +15,15 @@ exact and rewriting the same object is byte-identical.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .field import Mask, TensorField
 from .synth import DwiSet
+
+
+_BLOCK_VALUES = 4096  # floats formatted or parsed at once: bounds the strings held
 
 
 class FormatError(ValueError):
@@ -46,36 +51,66 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
         _fail(line_no, f"{what} must be a number, got {token!r}")
 
 
-def _body_rows(lines: list[str], expected: int, what: str) -> list[tuple[int, str]]:
-    """Non-empty body lines with 1-based numbers; exactly `expected` of them."""
-    rows = [(no, line.strip()) for no, line in enumerate(lines[1:], start=2)]
-    while rows and not rows[-1][1]:
+def _body_rows(lines: list[str], expected: int, what: str) -> list[str]:
+    """Stripped non-empty body lines, file line i + 2 at index i; exactly `expected`."""
+    rows = list(map(str.strip, lines[1:]))
+    while rows and not rows[-1]:
         rows.pop()
-    for no, line in rows:
-        if not line:
-            _fail(no, f"blank line inside the {what} block")
+    if not all(rows):
+        _fail(rows.index("") + 2, f"blank line inside the {what} block")
     if len(rows) < expected:
-        last = rows[-1][0] if rows else 1
-        _fail(last, f"file ends after {len(rows)} of {expected} {what} lines")
+        _fail(len(rows) + 1, f"file ends after {len(rows)} of {expected} {what} lines")
     if len(rows) > expected:
-        _fail(rows[expected][0], f"unexpected extra line after {expected} {what} lines")
+        _fail(expected + 2, f"unexpected extra line after {expected} {what} lines")
     return rows
 
 
-def _floats_row(row: tuple[int, str], count: int, what: str) -> list[float]:
-    no, line = row
+def _floats_row(no: int, line: str, count: int, what: str) -> list[float]:
     tokens = line.split()
     if len(tokens) != count:
         _fail(no, f"expected {count} {what}, got {len(tokens)}")
     return [_parse_float(tok, no, what) for tok in tokens]
 
 
+def _float_block(rows: list[str], first_no: int, count: int, what: str) -> np.ndarray:
+    """(len(rows), count) floats of body lines numbered from first_no.
+
+    Parses _BLOCK_VALUES floats at a time.  A block with a wrong token count
+    or a token float() rejects is parsed again row by row, so the error names
+    the first bad line exactly as _floats_row does.
+    """
+    out = np.empty((len(rows), count))
+    step = max(1, _BLOCK_VALUES // count)
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        tokens = list(map(str.split, block))
+        if set(map(len, tokens)) == {count}:
+            try:
+                out[lo:lo + len(block)] = np.reshape(
+                    list(map(float, chain.from_iterable(tokens))), (len(block), count))
+                continue
+            except ValueError:
+                pass
+        for no, line in enumerate(block, start=first_no + lo):
+            out[no - first_no] = _floats_row(no, line, count, what)
+    return out
+
+
+def _float_lines(values: np.ndarray, per_line: int) -> list[str]:
+    """Shortest round-trip reprs of values in row-major order, per_line to a line."""
+    rows = values.reshape(-1, per_line)
+    step = max(1, _BLOCK_VALUES // per_line)
+    lines = []
+    for lo in range(0, len(rows), step):
+        tokens = map(repr, rows[lo:lo + step].ravel().tolist())
+        lines += map(" ".join, zip(*[tokens] * per_line))
+    return lines
+
+
 # ---- tensor fields (DTF1) ----
 
 def field_to_text(w: TensorField) -> str:
-    lines = [f"DTF1 {w.width} {w.height} 3 {w.log_bound!r}"]
-    for pixel in w.coeffs.reshape(-1, 6):
-        lines.append(" ".join(repr(float(v)) for v in pixel))
+    lines = [f"DTF1 {w.width} {w.height} 3 {w.log_bound!r}"] + _float_lines(w.coeffs, 6)
     return "\n".join(lines) + "\n"
 
 
@@ -93,7 +128,7 @@ def field_from_text(text: str) -> TensorField:
         _fail(1, f"only 3x3 tensors are supported, got m={dim}")
     bound = _parse_float(header[4], 1, "log-norm bound")
     rows = _body_rows(lines, height * width, "pixel")
-    coeffs = np.array([_floats_row(row, 6, "coefficients") for row in rows])
+    coeffs = _float_block(rows, 2, 6, "coefficients")
     return TensorField(coeffs.reshape(height, width, 6), bound)
 
 
@@ -117,9 +152,9 @@ def mask_from_text(text: str) -> Mask:
     height = _parse_int(header[2], 1, "height")
     rows = _body_rows(lines, height, "mask row")
     values = np.zeros((height, width), dtype=bool)
-    for i, (no, line) in enumerate(rows):
+    for i, line in enumerate(rows):
         if len(line) != width or set(line) - {"0", "1"}:
-            _fail(no, f"expected {width} characters of 0/1, got {line!r}")
+            _fail(i + 2, f"expected {width} characters of 0/1, got {line!r}")
         values[i] = [ch == "1" for ch in line]
     return Mask(values)
 
@@ -128,13 +163,8 @@ def mask_from_text(text: str) -> Mask:
 
 def dwis_to_text(dwis: DwiSet) -> str:
     k = dwis.directions.shape[0]
-    lines = [f"DWI1 {dwis.width} {dwis.height} {k} "
-             f"{dwis.b_value!r} {dwis.a0!r}"]
-    for g in dwis.directions:
-        lines.append(" ".join(repr(float(v)) for v in g))
-    for image in dwis.images:
-        for row in image:
-            lines.append(" ".join(repr(float(v)) for v in row))
+    lines = ([f"DWI1 {dwis.width} {dwis.height} {k} {dwis.b_value!r} {dwis.a0!r}"]
+             + _float_lines(dwis.directions, 3) + _float_lines(dwis.images, dwis.width))
     return "\n".join(lines) + "\n"
 
 
@@ -151,10 +181,8 @@ def dwis_from_text(text: str) -> DwiSet:
     b_value = _parse_float(header[4], 1, "b-value")
     a0 = _parse_float(header[5], 1, "reference signal")
     rows = _body_rows(lines, count + count * height, "direction/image")
-    directions = np.array([_floats_row(row, 3, "direction components")
-                           for row in rows[:count]])
-    values = np.array([_floats_row(row, width, "image values")
-                       for row in rows[count:]])
+    directions = _float_block(rows[:count], 2, 3, "direction components")
+    values = _float_block(rows[count:], count + 2, width, "image values")
     return DwiSet(directions, b_value, a0, values.reshape(count, height, width))
 
 

@@ -202,13 +202,12 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     in log coordinates restart to such plain steps.  All three ladders
     (momentum, warm plain, fresh plain) are one backtracking loop with its own
     acceptance rule.  The returned trajectory starts at the initial objective
-    and is non-increasing.
+    and is non-increasing.  Without init the solve starts from
+    default_init(data, mask, params).
     """
     config = config if config is not None else SolverConfig()
     mask_values = _mask_values(mask, (data.height, data.width))
-    if init is None:
-        init = default_init(data, mask_values, params)
-    elif (init.height, init.width) != (data.height, data.width):
+    if init is not None and (init.height, init.width) != (data.height, data.width):
         raise ValueError(
             f"init {init.height}x{init.width} does not match data {data.height}x{data.width}"
         )

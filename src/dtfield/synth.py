@@ -127,11 +127,6 @@ def add_rician(value: float, spec: NoiseSpec, rng: np.random.Generator) -> float
     return float(math.hypot(value + n1, n2))
 
 
-def _pixel_rng(seed: int, pixel_index: int) -> np.random.Generator:
-    key = np.array([seed % 2 ** 64, pixel_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def simulate_dwis(w: TensorField, b: float = B_VALUE_DEFAULT, a0: float = A0_DEFAULT,
                   directions: np.ndarray | None = None) -> DwiSet:
     """Forward-simulate noise-free diffusion-weighted images of a field."""
@@ -141,24 +136,44 @@ def simulate_dwis(w: TensorField, b: float = B_VALUE_DEFAULT, a0: float = A0_DEF
     return DwiSet(directions, b, a0, a0 * np.exp(-b * quad))
 
 
+def _rician_images(images: np.ndarray, seed: int, sigma: float) -> np.ndarray:
+    """Noisy copy of (k, height, width) images; see apply_noise for the streams.
+
+    Its own function so that the row buffer and the generator are freed
+    before DwiSet validates the result, which lowers apply_noise's peak."""
+    k, height, width = images.shape
+    key = np.array([seed % 2 ** 64, 0], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    rng = np.random.Generator(bits)
+    fresh = bits.state  # counter 0, empty buffer; the setter copies key on each use
+    fresh["state"]["key"] = key
+    draws = np.empty((width, 2 * k))
+    noisy = np.empty((k, height, width))
+    for i in range(height):
+        for j in range(width):
+            key[1] = i * width + j
+            bits.state = fresh
+            rng.standard_normal(out=draws[j])
+        draws *= sigma
+        np.hypot(images[:, i, :] + draws[:, 0::2].T, draws[:, 1::2].T, out=noisy[:, i, :])
+    return noisy
+
+
 def apply_noise(dwis: DwiSet, spec: NoiseSpec) -> DwiSet:
     """Corrupt every signal with Rician noise from per-pixel substreams.
 
-    Pixel (i, j) of a height x width set uses the substream keyed by
-    (spec.seed, i * width + j) and consumes one (n1, n2) pair per direction
-    in direction order, exactly as sequential add_rician calls would.
+    Pixel (i, j) of a height x width set uses the Philox substream keyed by
+    (spec.seed mod 2**64, i * width + j) and consumes one (n1, n2) pair per
+    direction in direction order, exactly as sequential add_rician calls
+    would.  One Philox is re-keyed for each pixel (counter 0, empty buffer),
+    so each substream equals that of a fresh Philox(key=(seed, index)).
+    Draws are made one grid row at a time.
     """
     if spec.sigma2 == 0.0:
         return dwis
-    k, height, width = dwis.images.shape
-    sigma = math.sqrt(spec.sigma2)
-    seed = int(spec.seed)  # numpy integers would overflow in _pixel_rng's seed % 2**64
-    images = np.empty((k, height, width))
-    for i in range(height):
-        for j in range(width):
-            draws = _pixel_rng(seed, i * width + j).standard_normal(2 * k) * sigma
-            images[:, i, j] = np.hypot(dwis.images[:, i, j] + draws[0::2], draws[1::2])
-    return DwiSet(dwis.directions, dwis.b_value, dwis.a0, images)
+    # int() first: numpy integers would overflow in seed % 2**64
+    noisy = _rician_images(dwis.images, int(spec.seed), math.sqrt(spec.sigma2))
+    return DwiSet(dwis.directions, dwis.b_value, dwis.a0, noisy)
 
 
 def _ls_coefficients(dwis: DwiSet) -> np.ndarray:

@@ -21,6 +21,7 @@ from dtfield.fileio import (
     write_mask,
 )
 from dtfield.synth import (
+    DwiSet,
     NoiseSpec,
     apply_noise,
     make_main_direction_phantom,
@@ -92,6 +93,126 @@ def test_trailing_blank_lines_accepted():
     field = make_staircase_phantom(3)
     assert np.array_equal(field_from_text(field_to_text(field) + "\n\n").coeffs,
                           field.coeffs)
+
+
+# ---- the one-pass codecs against per-float references ----
+
+def per_float_field_text(w):
+    lines = [f"DTF1 {w.width} {w.height} 3 {w.log_bound!r}"]
+    for pixel in w.coeffs.reshape(-1, 6):
+        lines.append(" ".join(repr(float(v)) for v in pixel))
+    return "\n".join(lines) + "\n"
+
+
+def per_float_dwis_text(dwis):
+    lines = [f"DWI1 {dwis.width} {dwis.height} {dwis.directions.shape[0]} "
+             f"{dwis.b_value!r} {dwis.a0!r}"]
+    for g in dwis.directions:
+        lines.append(" ".join(repr(float(v)) for v in g))
+    for image in dwis.images:
+        for row in image:
+            lines.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def per_row_floats(text, first, count):
+    """Body lines first.. of text (blank lines dropped) parsed one float at a time."""
+    lines = [line for line in text.splitlines()[first:] if line.strip()]
+    return np.array([[float(tok) for tok in line.split()] for line in lines[:count]])
+
+
+def awkward_field():
+    # diagonal pixels whose entries span the exponent range; off-diagonal
+    # subnormals and signed zeros sit below Jacobi's rotation gate
+    rng = np.random.default_rng(17)
+    coeffs = np.zeros((3, 4, 6))
+    coeffs[..., :3] = np.exp(rng.uniform(-550.0, 550.0, size=(3, 4, 3)))
+    coeffs[0, 0, :3] = (1e300, 1e-300, 1.0)
+    coeffs[..., 3:] = [5e-324, -0.0, -2.5e-320]
+    return TensorField(coeffs, 1500.0)
+
+
+def awkward_dwis():
+    images = np.random.default_rng(18).uniform(0.0, 1000.0, size=(3, 2, 5))
+    images[0, 0, :] = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    directions = np.array([[1.0, -0.0, 0.0], [-0.0, -1.0, 0.0], [0.6, 0.0, -0.8]])
+    return DwiSet(directions, 800.0, 1000.0, images)
+
+
+@pytest.mark.parametrize("field", [make_main_direction_phantom(37), awkward_field(),
+                                   make_staircase_phantom(64)],
+                         ids=["band-37", "awkward", "staircase-64"])
+def test_field_text_bytes_match_per_float_formatter(field):
+    text = field_to_text(field)
+    assert text == per_float_field_text(field)
+    assert np.array_equal(field_from_text(text).coeffs.reshape(-1, 6),
+                          per_row_floats(text, 1, field.height * field.width))
+
+
+@pytest.mark.parametrize("dwis", [sample_dwis(), awkward_dwis(),
+                                  apply_noise(simulate_dwis(make_staircase_phantom(64)),
+                                              NoiseSpec(1600.0, 3))],
+                         ids=["noisy-4", "awkward", "noisy-64"])
+def test_dwis_text_bytes_match_per_float_formatter(dwis):
+    text = dwis_to_text(dwis)
+    assert text == per_float_dwis_text(dwis)
+    back = dwis_from_text(text)
+    k = dwis.directions.shape[0]
+    assert np.array_equal(back.directions, per_row_floats(text, 1, k))
+    assert np.array_equal(back.images.reshape(-1, dwis.width),
+                          per_row_floats(text, 1 + k, k * dwis.height))
+
+
+def test_crlf_and_trailing_blank_lines_parse_the_same():
+    field, dwis = make_main_direction_phantom(30), sample_dwis()
+    field_text, dwis_text = field_to_text(field), dwis_to_text(dwis)
+    for edit in (lambda text: text.replace("\n", "\r\n"), lambda text: text + "\n  \n\r\n\n"):
+        assert np.array_equal(field_from_text(edit(field_text)).coeffs, field.coeffs)
+        back = dwis_from_text(edit(dwis_text))
+        assert np.array_equal(back.directions, dwis.directions)
+        assert np.array_equal(back.images, dwis.images)
+
+
+def text_with(lines, replacements):
+    """The text of lines with lines[i] replaced by replacements[i]."""
+    lines = list(lines)
+    for at, replacement in replacements.items():
+        lines[at] = replacement
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", ["five-then-seven", "seven-then-five",
+                                  "five-then-seven-across-blocks", "bad-last-token"])
+def test_field_block_parser_errors_match_row_by_row(case):
+    # 900 pixel lines span two parse blocks of 682; every error names the
+    # first bad line, with the row-by-row parser's message
+    lines = field_to_text(make_staircase_phantom(30)).splitlines()
+    pixel = "0.001 0.0005 0.0005 0.0 0.0 0.0"
+    short, long = "0.001 0.0005 0.0005 0.0 0.0", pixel + " 0.0"
+    replacements, message = {
+        "five-then-seven": ({1: short, 2: long}, "line 2: expected 6 coefficients, got 5"),
+        "seven-then-five": ({1: long, 2: short}, "line 2: expected 6 coefficients, got 7"),
+        "five-then-seven-across-blocks": ({682: short, 683: long},
+                                          "line 683: expected 6 coefficients, got 5"),
+        "bad-last-token": ({900: pixel[:-3] + "0.0x"},
+                           "line 901: coefficients must be a number, got '0.0x'"),
+    }[case]
+    with pytest.raises(FormatError) as err:
+        field_from_text(text_with(lines, replacements))
+    assert str(err.value) == message
+
+
+def test_dwis_block_parser_error_on_last_line():
+    dwis = sample_dwis()
+    lines = dwis_to_text(dwis).splitlines()
+    last = len(lines) - 1
+    row = lines[last].split()
+    with pytest.raises(FormatError) as err:
+        dwis_from_text(text_with(lines, {last: " ".join(row[:-1] + ["nan?"])}))
+    assert str(err.value) == f"line {last + 1}: image values must be a number, got 'nan?'"
+    with pytest.raises(FormatError) as err:
+        dwis_from_text(text_with(lines, {last: " ".join(row[:-1])}))
+    assert str(err.value) == f"line {last + 1}: expected 4 image values, got 3"
 
 
 # ---- error cases name the offending line ----

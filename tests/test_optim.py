@@ -26,6 +26,7 @@ from dtfield.spd import (
     dist_log_euclidean,
     exp_coeffs,
     log_coeffs,
+    project_log_coeffs,
     weighted_norm_sq,
 )
 from dtfield.synth import (
@@ -439,6 +440,27 @@ def test_default_init_seeds_masked_pixels():
     assert np.allclose(init.coeffs[0, 2, :3], seed_diag, rtol=1e-12)
     assert np.all(init.coeffs[0, 2, 3:] == 0.0)
     assert np.array_equal(init.coeffs[mask], data.coeffs[mask])
+
+
+@pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["default-eps", "eps-1e-3"])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "hole"])
+def test_default_start_bit_equals_default_init(masked, epsilon):
+    # a solve without init builds its start from the target's logs instead
+    # of decomposing default_init's field again: the same start, to the bit
+    data, mask = noisy_band_16x16_with_hole()
+    if not masked:
+        mask = Mask.full(16, 16)
+    kwargs = {} if epsilon is None else {"epsilon": epsilon}
+    params = FunctionalParams(p=1.1, alpha=2.75, beta=2.0, n_rho=3, **kwargs)
+    init = default_init(data, mask, params)
+    for objective in ("f-log-euclidean", "f-euclidean", "fc"):
+        pack = Objective(objective, data, mask, params)
+        assert np.array_equal(pack.start(), pack.start(init))
+    expected = log_coeffs(init.coeffs)
+    if epsilon is not None:
+        # -log(epsilon) < z: pixels below the floor leave the feasible set
+        expected = project_log_coeffs(expected, params.epsilon, params.z)
+    assert np.array_equal(Objective("f-log-euclidean", data, mask, params).start(), expected)
 
 
 @pytest.mark.parametrize("objective", ["f-log-euclidean", "f-euclidean", "fc"])

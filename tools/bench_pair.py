@@ -20,13 +20,19 @@ side.  Each side runs its own perfbench/ and src/.  A run that exits non-zero
 or whose last line is not a JSON object is recorded as an error; the tool
 then still finishes and writes the summary, but exits with status 1.  Ten
 seeds give the ten alternating pairs a claimed gain needs; fewer give a
-record that supports no claim.
+record that supports no claim.  Then each side's Tier-1 suite runs twice, in
+the order base, head, head, base:
+
+    PYTHONPATH=src python3 -m pytest -q --continue-on-collection-errors
 
 The summary holds, per workload and side, the median of each end-to-end
-metric over the seeds, the per-seed values of op_s, the summed attempted and
-failed operation counts, and whether every run was correct; plus both git
-SHAs and src/ tree ids, the Python and numpy versions, and the number of
-CPUs.  Standard library only.
+metric over the seeds, the per-seed values and quartiles of op_s, the summed
+attempted and failed operation counts, and whether every run was correct,
+and per workload the number of seeds on which head's op_s is lower; per side
+the Tier-1 wall times, pytest's closing line and the duration of
+test_acceptance.py::test_01 (setup, call and teardown); plus both git SHAs
+and src/ tree ids, the Python and numpy versions, and the number of CPUs.
+Standard library only.
 """
 from __future__ import annotations
 
@@ -35,6 +41,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -43,6 +50,9 @@ import tempfile
 import time
 
 METRICS = ("op_s", "setup_s", "peak_rss_mb", "objective", "snr")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=0")
+TEST_01 = "tests/test_acceptance.py::test_01_"
 
 
 def git(*args: str) -> str:
@@ -92,6 +102,23 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def run_tier1(tree: str) -> dict:
+    """Wall time of one Tier-1 run in tree, pytest's closing line and test_01's time."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = "src"
+    started = time.perf_counter()
+    done = subprocess.run((sys.executable,) + TIER1, cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    lines = done.stdout.strip().splitlines()
+    # --durations lines read "<seconds>s <phase> <node id>"
+    phases = [re.match(r"([0-9.]+)s \w+ +(\S+)$", line) for line in lines]
+    test_01 = [float(m.group(1)) for m in phases if m and m.group(2).startswith(TEST_01)]
+    return {"wall_s": round(wall, 1), "exit": done.returncode,
+            "summary": lines[-1].strip("= ") if lines else None,
+            "test_01_s": round(sum(test_01), 2) if test_01 else None}
+
+
 def summarize(runs: list[dict]) -> dict:
     good = [r for r in runs if "error" not in r]
     side = {
@@ -103,6 +130,8 @@ def summarize(runs: list[dict]) -> dict:
         "op_s_per_seed": [r["metrics"]["op_s"]["value"] if "error" not in r else None
                           for r in runs],
     }
+    op_s = [v for v in side["op_s_per_seed"] if v is not None]
+    side["op_s_quartiles"] = statistics.quantiles(op_s, n=4) if len(op_s) > 1 else None
     for name in METRICS:
         values = [r["metrics"][name]["value"] for r in good if name in r["metrics"]]
         side[name] = statistics.median(values) if values else None
@@ -152,6 +181,14 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(runs[side][-1])[:200]}", file=sys.stderr, flush=True)
             results[workload] = {side: summarize(r) for side, r in runs.items()}
+            results[workload]["head_wins"] = sum(
+                h is not None and b is not None and h < b
+                for b, h in zip(results[workload]["base"]["op_s_per_seed"],
+                                results[workload]["head"]["op_s_per_seed"]))
+        tier1 = {"base": [], "head": []}
+        for side in ("base", "head", "head", "base"):
+            tier1[side].append(run_tier1(trees[side]))
+            print(f"tier-1 {side}: {json.dumps(tier1[side][-1])}", file=sys.stderr, flush=True)
     summary = {
         "pr": args.pr,
         "base_sha": revs["base"][0],
@@ -165,12 +202,13 @@ def main(argv=None) -> int:
         "wall_s": round(time.time() - started, 1),
         **versions(),
         "workloads": results,
+        "tier1": tier1,
     }
     with open(out, "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
-    errors = any(side["errors"] for sides in results.values() for side in sides.values())
-    return 1 if errors else 0
+    errors = any(results[w][side]["errors"] for w in results for side in ("base", "head"))
+    return 1 if errors or any(r["exit"] for runs in tier1.values() for r in runs) else 0
 
 
 if __name__ == "__main__":
