@@ -24,7 +24,7 @@ from typing import Callable
 
 from .analysis import column_eigen_profile, render_svg, snr
 from .field import FunctionalParams, Mask
-from .optim import LineSearchError, SolverConfig, solve
+from .optim import SolverConfig, solve
 from .fileio import _write, read_field, read_mask, write_dwis, write_field
 from .spd import EPSILON_DEFAULT, LOG_BOUND_DEFAULT
 from .synth import (
@@ -315,16 +315,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
         return exc.code
-    except LineSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OverflowError, RuntimeError, OSError) as exc:
+    except (OverflowError, RuntimeError, OSError) as exc:  # LineSearchError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -492,11 +492,6 @@ def functional_FC(w: TensorField, data: TensorField, mask,
     return float(Objective("fc", data, mask, params).value(w.coeffs))
 
 
-def to_log_coords(w: TensorField) -> np.ndarray:
-    """Per-pixel matrix-log coefficients, shape (height, width, 6)."""
-    return log_coeffs(w.coeffs)
-
-
 def from_log_coords(log_field: np.ndarray, z: float = LOG_BOUND_DEFAULT,
                     epsilon: float = EPSILON_DEFAULT) -> TensorField:
     """Field of project_full(Exp(L)) for a (height, width, 6) log array.

@@ -51,6 +51,18 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
         _fail(line_no, f"{what} must be a number, got {token!r}")
 
 
+def _header(lines: list[str], layout: str) -> tuple[int, int, list[str]]:
+    """Width, height and the remaining tokens of the header line laid out as
+    layout, e.g. 'MSK1 <width> <height>'."""
+    if not lines:
+        _fail(1, f"empty file, expected a '{layout}' header")
+    header = lines[0].split()
+    magic = layout.split()
+    if len(header) != len(magic) or header[0] != magic[0]:
+        _fail(1, f"expected header '{layout}', got {lines[0]!r}")
+    return _parse_int(header[1], 1, "width"), _parse_int(header[2], 1, "height"), header[3:]
+
+
 def _body_rows(lines: list[str], expected: int, what: str) -> list[str]:
     """Stripped non-empty body lines, file line i + 2 at index i; exactly `expected`."""
     rows = list(map(str.strip, lines[1:]))
@@ -116,17 +128,11 @@ def field_to_text(w: TensorField) -> str:
 
 def field_from_text(text: str) -> TensorField:
     lines = text.splitlines()
-    if not lines:
-        _fail(1, "empty file, expected a 'DTF1 <width> <height> <m> <z>' header")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "DTF1":
-        _fail(1, f"expected header 'DTF1 <width> <height> <m> <z>', got {lines[0]!r}")
-    width = _parse_int(header[1], 1, "width")
-    height = _parse_int(header[2], 1, "height")
-    dim = _parse_int(header[3], 1, "matrix dimension")
+    width, height, rest = _header(lines, "DTF1 <width> <height> <m> <z>")
+    dim = _parse_int(rest[0], 1, "matrix dimension")
     if dim != 3:
         _fail(1, f"only 3x3 tensors are supported, got m={dim}")
-    bound = _parse_float(header[4], 1, "log-norm bound")
+    bound = _parse_float(rest[1], 1, "log-norm bound")
     rows = _body_rows(lines, height * width, "pixel")
     coeffs = _float_block(rows, 2, 6, "coefficients")
     return TensorField(coeffs.reshape(height, width, 6), bound)
@@ -143,13 +149,7 @@ def mask_to_text(mask: Mask) -> str:
 
 def mask_from_text(text: str) -> Mask:
     lines = text.splitlines()
-    if not lines:
-        _fail(1, "empty file, expected a 'MSK1 <width> <height>' header")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "MSK1":
-        _fail(1, f"expected header 'MSK1 <width> <height>', got {lines[0]!r}")
-    width = _parse_int(header[1], 1, "width")
-    height = _parse_int(header[2], 1, "height")
+    width, height, _ = _header(lines, "MSK1 <width> <height>")
     rows = _body_rows(lines, height, "mask row")
     values = np.zeros((height, width), dtype=bool)
     for i, line in enumerate(rows):
@@ -170,16 +170,10 @@ def dwis_to_text(dwis: DwiSet) -> str:
 
 def dwis_from_text(text: str) -> DwiSet:
     lines = text.splitlines()
-    if not lines:
-        _fail(1, "empty file, expected a 'DWI1 <width> <height> <k> <b> <a0>' header")
-    header = lines[0].split()
-    if len(header) != 6 or header[0] != "DWI1":
-        _fail(1, f"expected header 'DWI1 <width> <height> <k> <b> <a0>', got {lines[0]!r}")
-    width = _parse_int(header[1], 1, "width")
-    height = _parse_int(header[2], 1, "height")
-    count = _parse_int(header[3], 1, "direction count")
-    b_value = _parse_float(header[4], 1, "b-value")
-    a0 = _parse_float(header[5], 1, "reference signal")
+    width, height, rest = _header(lines, "DWI1 <width> <height> <k> <b> <a0>")
+    count = _parse_int(rest[0], 1, "direction count")
+    b_value = _parse_float(rest[1], 1, "b-value")
+    a0 = _parse_float(rest[2], 1, "reference signal")
     rows = _body_rows(lines, count + count * height, "direction/image")
     directions = _float_block(rows[:count], 2, 3, "direction components")
     values = _float_block(rows[count:], count + 2, width, "image values")

@@ -126,62 +126,6 @@ class SolveReport:
         return asdict(self)
 
 
-_FD_CHUNK = 512
-
-
-def grad_F_log(log_field: np.ndarray, data, mask, params: FunctionalParams) -> np.ndarray:
-    """Exact gradient of the log-coordinate objective fidelity + alpha * Phi.
-
-    log_field is a (height, width, 6) array of matrix-log coefficients; data
-    is the observed TensorField (or its log coefficients).  The result holds
-    the partial derivatives with respect to each independent coefficient, so
-    off-diagonal entries carry the Frobenius chain-rule factor 2.
-    """
-    L = np.asarray(log_field, dtype=np.float64)
-    return Objective("f-log-euclidean", data, mask, params).value_grad(L)[1]
-
-
-def grad_F_fd(log_field: np.ndarray, data, mask, params: FunctionalParams,
-              fd_step: float = 1e-6) -> np.ndarray:
-    """Finite-difference gradient of the same objective as grad_F_log.
-
-    Uses only objective evaluations (an independent route from the analytic
-    gradient): central differences of step fd_step, falling back to one-sided
-    differences toward the interior where a perturbation would leave the
-    log-norm ball.  Perturbed evaluations run in batches of _FD_CHUNK
-    coordinates to bound memory.
-    """
-    L = np.asarray(log_field, dtype=np.float64)
-    value = Objective("f-log-euclidean", data, mask, params).value
-    n = L.size
-    flat = L.reshape(-1)
-    f_plus = np.empty(n)
-    f_minus = np.empty(n)
-    for lo in range(0, n, _FD_CHUNK):
-        hi = min(lo + _FD_CHUNK, n)
-        rows = np.arange(hi - lo)
-        block = np.repeat(flat[None, :], hi - lo, axis=0)
-        block[rows, lo + rows] += fd_step
-        f_plus[lo:hi] = value(block.reshape((-1,) + L.shape))
-        block[rows, lo + rows] -= 2.0 * fd_step
-        f_minus[lo:hi] = value(block.reshape((-1,) + L.shape))
-    central = (f_plus - f_minus) / (2.0 * fd_step)
-    # closed-form perturbed norms: ||L +- h e_k||^2 = ||L||^2 +- 2 w_k L_k h + w_k h^2
-    base = weighted_norm_sq(L)[..., None]            # (H, W, 1)
-    cross = 2.0 * fd_step * (_W3 * L)                # (H, W, 6)
-    wh2 = _W3 * fd_step * fd_step
-    ok_plus = (base + cross + wh2 <= params.z ** 2).reshape(-1)
-    ok_minus = (base - cross + wh2 <= params.z ** 2).reshape(-1)
-    if (ok_plus & ok_minus).all():
-        return central.reshape(L.shape)
-    f_zero = float(value(L))
-    forward = (f_plus - f_zero) / fd_step
-    backward = (f_zero - f_minus) / fd_step
-    grad = np.where(ok_plus & ok_minus, central,
-                    np.where(ok_minus, backward, forward))
-    return grad.reshape(L.shape)
-
-
 def default_init(data: TensorField, mask, params: FunctionalParams) -> TensorField:
     """Observed data with every masked-out pixel replaced by project_full(0)."""
     mask_values = _mask_values(mask, (data.height, data.width))

@@ -261,9 +261,6 @@ class SymMat:
     def matrix(self) -> np.ndarray:
         return coeffs_to_matrices(self.coeffs)
 
-    def scaled(self, factor: float) -> "SymMat":
-        return SymMat(self.coeffs * float(factor))
-
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
@@ -433,7 +430,8 @@ def geodesic(a: SpdTensor, b: SpdTensor, t: float) -> SpdTensor:
 
 
 def fa_of_eigenvalues(vals: np.ndarray) -> np.ndarray:
-    """FA from a (..., 3) eigenvalue array, clipped into [0, 1].
+    """Fractional anisotropy of a (..., 3) eigenvalue array, clipped into [0, 1];
+    a.eig.values gives an SpdTensor's.
 
     Written with pairwise eigenvalue differences, so equal eigenvalues give
     exactly 0.
@@ -442,11 +440,6 @@ def fa_of_eigenvalues(vals: np.ndarray) -> np.ndarray:
     num = (l1 - l2) ** 2 + (l2 - l3) ** 2 + (l1 - l3) ** 2
     den = 2.0 * (l1 * l1 + l2 * l2 + l3 * l3)
     return np.clip(np.sqrt(num / den), 0.0, 1.0)
-
-
-def fractional_anisotropy(a: SpdTensor) -> float:
-    """FA of a 3x3 SPD tensor, clipped into [0, 1]."""
-    return float(fa_of_eigenvalues(a.eig.values))
 
 
 # ---- batched (..., 6) coefficient-array kernels used by the field modules ----

@@ -114,19 +114,6 @@ def design_matrix(directions: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(g[:, _ROWS] * g[:, _COLS] * _W3)  # C order: sums follow layout
 
 
-def add_rician(value: float, spec: NoiseSpec, rng: np.random.Generator) -> float:
-    """One Rician draw sqrt((value + n1)^2 + n2^2), n1, n2 ~ N(0, sigma2).
-
-    sigma2 = 0 returns the value unchanged without consuming rng draws.
-    """
-    if not value >= 0.0:
-        raise ValueError(f"value must be >= 0, got {value}")
-    if spec.sigma2 == 0.0:
-        return float(value)
-    n1, n2 = rng.standard_normal(2) * math.sqrt(spec.sigma2)
-    return float(math.hypot(value + n1, n2))
-
-
 def simulate_dwis(w: TensorField, b: float = B_VALUE_DEFAULT, a0: float = A0_DEFAULT,
                   directions: np.ndarray | None = None) -> DwiSet:
     """Forward-simulate noise-free diffusion-weighted images of a field."""
@@ -163,11 +150,12 @@ def apply_noise(dwis: DwiSet, spec: NoiseSpec) -> DwiSet:
     """Corrupt every signal with Rician noise from per-pixel substreams.
 
     Pixel (i, j) of a height x width set uses the Philox substream keyed by
-    (spec.seed mod 2**64, i * width + j) and consumes one (n1, n2) pair per
-    direction in direction order, exactly as sequential add_rician calls
-    would.  One Philox is re-keyed for each pixel (counter 0, empty buffer),
-    so each substream equals that of a fresh Philox(key=(seed, index)).
-    Draws are made one grid row at a time.
+    (spec.seed mod 2**64, i * width + j) and draws one standard normal pair
+    (n1, n2) per direction in direction order; the signal v becomes
+    sqrt((v + sigma n1)^2 + (sigma n2)^2), sigma = sqrt(sigma2).  One Philox
+    is re-keyed for each pixel (counter 0, empty buffer), so each substream
+    equals that of a fresh Philox(key=(seed, index)).  Draws are made one grid
+    row at a time.  sigma2 = 0 returns dwis itself.
     """
     if spec.sigma2 == 0.0:
         return dwis

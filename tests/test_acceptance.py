@@ -24,13 +24,13 @@ from dtfield.cli import main
 from dtfield.field import (
     FunctionalParams,
     Mask,
+    Objective,
     TensorField,
     phi_regularizer,
     theta_regularizer,
-    to_log_coords,
 )
 from dtfield.fileio import write_mask
-from dtfield.optim import SolverConfig, default_init, grad_F_fd, grad_F_log, solve
+from dtfield.optim import SolverConfig, default_init, solve
 from dtfield.spd import (
     EPSILON_DEFAULT,
     SymMat,
@@ -209,7 +209,7 @@ def test_01_spd_geometry_property_suite():
     assert elapsed < 60.0
 
 
-def test_02_analytic_gradient_matches_finite_differences():
+def test_02_analytic_gradient_matches_finite_differences(fd_gradient):
     rng = np.random.default_rng(2)
     for case in range(20):
         p, tol = (2.0, 1e-5) if case < 10 else (1.1, 1e-4)
@@ -218,8 +218,9 @@ def test_02_analytic_gradient_matches_finite_differences():
         mask = rng.random((6, 6)) < 0.85
         mask[0, 0] = True
         params = FunctionalParams(p=p, s=0.5, alpha=0.4, l=1, n_rho=2)
-        g = grad_F_log(logs, data, mask, params)
-        fd = grad_F_fd(logs, data, mask, params)
+        objective = Objective("f-log-euclidean", data, mask, params)
+        g = objective.value_grad(logs)[1]
+        fd = fd_gradient(objective.value, logs)
         rel = float(np.sqrt(((g - fd) ** 2).sum()) / np.sqrt((g ** 2).sum()))
         assert rel < tol
 
@@ -228,10 +229,11 @@ def test_02_analytic_gradient_matches_finite_differences():
     logs = rng.standard_normal((6, 6, 6)) * 0.6
     data = TensorField(exp_coeffs(rng.standard_normal((6, 6, 6)) * 0.6))
     params = FunctionalParams(p=1.1, s=0.5, alpha=0.4, l=1, n_rho=2)
-    g = grad_F_log(logs, data, Mask.full(6, 6), params)
+    objective = Objective("f-log-euclidean", data, Mask.full(6, 6), params)
+    g = objective.value_grad(logs)[1]
     errors = []
     for step in (1e-3, 5e-4):
-        fd = grad_F_fd(logs, data, Mask.full(6, 6), params, fd_step=step)
+        fd = fd_gradient(objective.value, logs, step=step)
         errors.append(float(np.sqrt(((g - fd) ** 2).sum())))
     ratio = errors[0] / errors[1]
     assert 3.0 < ratio < 5.0
@@ -289,7 +291,7 @@ def test_05_two_pixel_closed_form_is_reproduced():
     exact = np.linalg.solve(system, np.stack([d0, d1]))
     out, report = solve(data, Mask.full(1, 2), params,
                         config=SolverConfig(max_iters=20000, rel_tol=1e-14))
-    got = to_log_coords(out)[0]
+    got = log_coeffs(out.coeffs)[0]
     gap = float(np.sqrt(weighted_norm_sq(got - exact)).sum())
     print(f"closed-form gap {gap:.2e} after {report.iterations} iterations")
     assert gap <= 1e-6

@@ -1,16 +1,21 @@
 """Documentation stays in step with the code it names."""
 from __future__ import annotations
 
+import ast
+import functools
 import importlib
 import json
 import re
 from pathlib import Path
 
+import dtfield
 from dtfield.cli import main
 from dtfield.optim import SolveReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FORMATS = README.parent / "FORMATS.md"
+SRC = Path(dtfield.__file__).resolve().parent
+PERFBENCH = README.parent / "perfbench"
 
 
 def module_table_rows():
@@ -23,13 +28,49 @@ def module_table_rows():
     return rows
 
 
+def resolves(module, name):
+    """Whether module has attribute name; a dotted name (Class.method) is followed."""
+    try:
+        functools.reduce(getattr, name.split("."), importlib.import_module(module))
+    except AttributeError:
+        return False
+    return True
+
+
 def test_readme_module_table_names_resolve():
     rows = module_table_rows()
     assert {module for module, _ in rows} >= {
         "dtfield.spd", "dtfield.field", "dtfield.optim", "dtfield.analysis"}
     missing = [f"{module}.{name}" for module, names in rows
-               for name in names if not hasattr(importlib.import_module(module), name)]
+               for name in names if not resolves(module, name)]
     assert not missing, f"README names what its module lacks: {missing}"
+
+
+def referenced_names(directory, strings=False):
+    """Names and attributes used in directory/*.py (with strings: string constants too)."""
+    names = set()
+    for path in directory.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_public_definition_has_a_use():
+    # a public function or class that src/ never references, the package does
+    # not export, README's module table does not name and the benchmark does
+    # not call is a second copy of some job, or dead
+    used = (referenced_names(SRC) | referenced_names(PERFBENCH, strings=True)
+            | set(dtfield.__all__) | {name for _, names in module_table_rows() for name in names})
+    unused = [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert not unused, f"public but unused: {unused}"
 
 
 def formats_section(title):

@@ -22,7 +22,6 @@ from dtfield.field import (
     phi_regularizer,
     theta_energy,
     theta_regularizer,
-    to_log_coords,
 )
 from dtfield.spd import (
     EPSILON_DEFAULT,
@@ -315,7 +314,7 @@ def test_phi_mollifier_gating_consistency():
         assert kernel == pytest.approx(expected, rel=1e-14)
     weight = 1.0 / 41.0  # uniform over the 41 offsets of the radius-4 disk
     constant = [(di, dj, weight / math.hypot(di, dj) ** exponent) for di, dj, _ in windowed]
-    gated = pairwise_energy(to_log_coords(w), constant, params1.p)
+    gated = pairwise_energy(log_coeffs(w.coeffs), constant, params1.p)
     allpairs = phi_regularizer(w, params0)
     assert abs(gated / weight - allpairs) <= 1e-11 * max(1.0, allpairs)
 
@@ -412,13 +411,13 @@ def test_functional_fc_brute_force():
 # ---- log coordinates ----
 
 def test_log_coords_identity_field():
-    assert np.abs(to_log_coords(identity_field(2, 2))).max() < 1e-15
+    assert np.abs(log_coeffs(identity_field(2, 2).coeffs)).max() < 1e-15
 
 
 def test_log_coords_roundtrip():
     rng = np.random.default_rng(57)
     w = random_field(rng, 4, 4, scale=1.5)
-    back = from_log_coords(to_log_coords(w), w.log_bound, EPSILON_DEFAULT)
+    back = from_log_coords(log_coeffs(w.coeffs), w.log_bound, EPSILON_DEFAULT)
     assert np.abs(back.coeffs - w.coeffs).max() <= 1e-9 * max(1.0, np.abs(w.coeffs).max())
 
 
@@ -427,7 +426,7 @@ def test_from_log_coords_clamps_to_ball():
     logs[0, 0, :3] = [30.0, -20.0, 10.0]  # norm sqrt(1400) > 36... scaled
     logs *= 2.0
     w = from_log_coords(logs, 36.0, EPSILON_DEFAULT)
-    out_norm = np.sqrt(weighted_norm_sq(to_log_coords(w)))
+    out_norm = np.sqrt(weighted_norm_sq(log_coeffs(w.coeffs)))
     assert abs(out_norm.max() - 36.0) < 1e-6
 
 
@@ -468,20 +467,7 @@ def test_batched_evaluators_match_per_element():
         assert tvals[i] == theta_energy(batch[i], params.p)
 
 
-def finite_difference_gradient(func, point, step=1e-6):
-    grad = np.zeros_like(point)
-    it = np.nditer(point, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        plus = point.copy()
-        plus[idx] += step
-        minus = point.copy()
-        minus[idx] -= step
-        grad[idx] = (func(plus) - func(minus)) / (2.0 * step)
-    return grad
-
-
-def test_evaluator_gradients_match_finite_differences():
+def test_evaluator_gradients_match_finite_differences(fd_gradient):
     rng = np.random.default_rng(60)
     logs = rng.standard_normal((3, 3, 6))
     data = rng.standard_normal((3, 3, 6))
@@ -491,15 +477,15 @@ def test_evaluator_gradients_match_finite_differences():
     offsets = phi_kernel_offsets(3, 3, params)
 
     value, grad = fidelity_energy(logs, data, mask, params.p, need_grad=True)
-    fd = finite_difference_gradient(lambda x: float(fidelity_energy(x, data, mask, params.p)), logs)
+    fd = fd_gradient(lambda x: fidelity_energy(x, data, mask, params.p), logs)
     assert np.abs(grad - fd).max() < 1e-7 * max(1.0, np.abs(fd).max())
 
     value, grad = pairwise_energy(logs, offsets, params.p, need_grad=True)
-    fd = finite_difference_gradient(lambda x: float(pairwise_energy(x, offsets, params.p)), logs)
+    fd = fd_gradient(lambda x: pairwise_energy(x, offsets, params.p), logs)
     assert np.abs(grad - fd).max() < 1e-7 * max(1.0, np.abs(fd).max())
 
     value, grad = theta_energy(logs, params.p, need_grad=True)
-    fd = finite_difference_gradient(lambda x: float(theta_energy(x, params.p)), logs)
+    fd = fd_gradient(lambda x: theta_energy(x, params.p), logs)
     assert np.abs(grad - fd).max() < 1e-7 * max(1.0, np.abs(fd).max())
 
 
@@ -589,7 +575,7 @@ def test_evaluator_gradients_bit_match_reference(p, batch):
 
 # ---- the Objective bundle ----
 
-def test_objective_value_grad_and_batches_agree_for_every_kind():
+def test_objective_value_grad_and_batches_agree_for_every_kind(fd_gradient):
     rng = np.random.default_rng(61)
     data = random_field(rng, 3, 3)
     point = random_field(rng, 3, 3)
@@ -603,7 +589,7 @@ def test_objective_value_grad_and_batches_agree_for_every_kind():
         assert value == float(objective.value(x))
         batch = objective.value(np.stack([x, 0.9 * x]))
         assert batch[0] == objective.value(x) and batch[1] == objective.value(0.9 * x)
-        fd = finite_difference_gradient(lambda y: float(objective.value(y)), x)
+        fd = fd_gradient(objective.value, x)
         assert np.abs(grad - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
 
 

@@ -217,6 +217,22 @@ def test_dwis_block_parser_error_on_last_line():
 
 # ---- error cases name the offending line ----
 
+@pytest.mark.parametrize("parse,layout,bad_magic,bad_count", [
+    (field_from_text, "DTF1 <width> <height> <m> <z>", "DTF9 2 2 3 36.0", "DTF1 2 2 3"),
+    (mask_from_text, "MSK1 <width> <height>", "MASK 2 1", "MSK1 2 1 1"),
+    (dwis_from_text, "DWI1 <width> <height> <k> <b> <a0>", "DWI2 1 1 1 800.0 1000.0",
+     "DWI1 2 2"),
+], ids=["DTF1", "MSK1", "DWI1"])
+def test_header_error_messages_are_exact(parse, layout, bad_magic, bad_count):
+    for text, message in [
+            ("", f"empty file, expected a '{layout}' header"),
+            (bad_magic + "\n", f"expected header '{layout}', got '{bad_magic}'"),
+            (bad_count + "\n", f"expected header '{layout}', got '{bad_count}'")]:
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert str(err.value) == f"line 1: {message}"
+
+
 def test_field_bad_magic():
     with pytest.raises(FormatError, match="line 1"):
         field_from_text("DTF9 2 2 3 36.0\n")

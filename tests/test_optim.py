@@ -18,8 +18,6 @@ from dtfield.optim import (
     SolveReport,
     SolverConfig,
     default_init,
-    grad_F_fd,
-    grad_F_log,
     solve,
 )
 from dtfield.spd import (
@@ -126,10 +124,14 @@ def test_report_rejects_inconsistent_lengths():
 
 # ---- analytic gradient ----
 
+def log_objective(data, mask, params):
+    return Objective("f-log-euclidean", data, mask, params)
+
+
 def test_gradient_zero_at_data_for_constant_field():
     w = constant_field(4, 4, [2.0, 1.5, 1.0, 0.2, 0.1, -0.1])
     params = FunctionalParams(p=1.1, alpha=0.7, s=0.5, l=1, n_rho=2)
-    grad = grad_F_log(log_coeffs(w.coeffs), w, Mask.full(4, 4), params)
+    grad = log_objective(w, Mask.full(4, 4), params).value_grad(log_coeffs(w.coeffs))[1]
     assert np.all(grad == 0.0)
 
 
@@ -141,65 +143,67 @@ def test_gradient_alpha_zero_p2_closed_form():
     mask = np.ones((5, 4), dtype=bool)
     mask[2, 1] = False
     params = FunctionalParams(p=2.0, alpha=0.0)
-    grad = grad_F_log(L, data, mask, params)
+    grad = log_objective(data, mask, params).value_grad(L)[1]
     expected = 2.0 * W3 * (L - Ld)
     expected[~mask] = 0.0
     assert np.allclose(grad, expected, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p,tol", [(2.0, 1e-5), (1.1, 1e-4)])
-def test_gradient_matches_finite_differences(p, tol):
+def test_gradient_matches_finite_differences(p, tol, fd_gradient):
     data = random_field(6, 6, seed=10)
     w = random_field(6, 6, seed=11)
     L = log_coeffs(w.coeffs)
-    mask = Mask.full(6, 6)
-    params = FunctionalParams(p=p, alpha=0.4, s=0.5, l=1, n_rho=2)
-    analytic = grad_F_log(L, data, mask, params)
-    numeric = grad_F_fd(L, data, mask, params)
+    objective = log_objective(data, Mask.full(6, 6), FunctionalParams(
+        p=p, alpha=0.4, s=0.5, l=1, n_rho=2))
+    analytic = objective.value_grad(L)[1]
+    numeric = fd_gradient(objective.value, L)
     rel = np.abs(analytic - numeric).max() / np.abs(analytic).max()
     assert rel < tol
 
 
-def test_gradient_matches_finite_differences_all_pairs_kernel():
+def test_gradient_matches_finite_differences_all_pairs_kernel(fd_gradient):
     data = random_field(4, 5, seed=20)
     w = random_field(4, 5, seed=21)
     L = log_coeffs(w.coeffs)
-    params = FunctionalParams(p=1.3, alpha=0.2, s=0.7, l=0)
-    analytic = grad_F_log(L, data, Mask.full(4, 5), params)
-    numeric = grad_F_fd(L, data, Mask.full(4, 5), params)
+    objective = log_objective(data, Mask.full(4, 5), FunctionalParams(
+        p=1.3, alpha=0.2, s=0.7, l=0))
+    analytic = objective.value_grad(L)[1]
+    numeric = fd_gradient(objective.value, L)
     rel = np.abs(analytic - numeric).max() / np.abs(analytic).max()
     assert rel < 1e-5
 
 
-def test_fd_error_scales_quadratically_in_step():
+def test_fd_error_scales_quadratically_in_step(fd_gradient):
     # central differences have O(h^2) truncation error; p must be far from 2
     # because the p=2 objective is quadratic and centrals are then exact
     data = random_field(6, 6, seed=30)
     w = random_field(6, 6, seed=31)
     L = log_coeffs(w.coeffs)
-    mask = Mask.full(6, 6)
-    params = FunctionalParams(p=1.1, alpha=0.4, s=0.5, l=1, n_rho=2)
-    analytic = grad_F_log(L, data, mask, params)
-    err_h = np.abs(grad_F_fd(L, data, mask, params, fd_step=1e-3) - analytic).max()
-    err_2h = np.abs(grad_F_fd(L, data, mask, params, fd_step=2e-3) - analytic).max()
+    objective = log_objective(data, Mask.full(6, 6), FunctionalParams(
+        p=1.1, alpha=0.4, s=0.5, l=1, n_rho=2))
+    analytic = objective.value_grad(L)[1]
+    err_h = np.abs(fd_gradient(objective.value, L, step=1e-3) - analytic).max()
+    err_2h = np.abs(fd_gradient(objective.value, L, step=2e-3) - analytic).max()
     assert 3.0 < err_2h / err_h < 5.5
 
 
-def test_fd_one_sided_fallback_at_ball_boundary():
-    # a pixel sitting exactly on the log-norm sphere forces one-sided
-    # differences for the coordinates whose central stencil would leave the ball
+def test_fd_central_differences_at_ball_boundary(fd_gradient):
+    # a pixel exactly on the log-norm sphere: the objective is defined off
+    # the ball too, so central stencils that leave it still match
     z = 4.0
     logs = np.zeros((2, 2, 6))
     logs[0, 0, :3] = z / np.sqrt(3.0)
     logs[1, 1, :3] = -0.3
     logs[0, 1, 3] = 0.2
-    w = TensorField(exp_coeffs(logs), z)
     data = TensorField(exp_coeffs(np.full((2, 2, 6), 0.1) * np.array([1, 1, 1, 0, 0, 0])), z)
-    params = FunctionalParams(p=1.5, alpha=0.3, s=0.5, l=1, n_rho=1, z=z)
-    analytic = grad_F_log(logs, data, Mask.full(2, 2), params)
-    numeric = grad_F_fd(logs, data, Mask.full(2, 2), params)
+    objective = log_objective(data, Mask.full(2, 2), FunctionalParams(
+        p=1.5, alpha=0.3, s=0.5, l=1, n_rho=1, z=z))
+    assert abs(np.sqrt(weighted_norm_sq(logs[0, 0])) - z) < 1e-12
+    analytic = objective.value_grad(logs)[1]
+    numeric = fd_gradient(objective.value, logs)
     rel = np.abs(analytic - numeric).max() / np.abs(analytic).max()
-    assert rel < 1e-4
+    assert rel < 1e-8
 
 
 # ---- solver examples with known answers ----

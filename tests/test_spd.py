@@ -22,7 +22,7 @@ from dtfield.spd import (
     dist_log_euclidean,
     eigh_coeffs,
     exp_coeffs,
-    fractional_anisotropy,
+    fa_of_eigenvalues,
     frobenius,
     geodesic,
     jacobi_eigh,
@@ -56,7 +56,7 @@ def spd_in_log_ball(rng, z):
     """Random SPD tensor with ||Log||_F exactly uniform in (0, z]."""
     s = random_symmat(rng)
     target = rng.uniform(0.05, 1.0) * z
-    return mat_exp(s.scaled(target / frobenius(s)))
+    return mat_exp(SymMat(s.coeffs * (target / frobenius(s))))
 
 
 # ---- coefficient layout ----
@@ -310,7 +310,7 @@ def test_exp_log_roundtrip_full_domain():
     rng = np.random.default_rng(6)
     for _ in range(300):
         s = random_symmat(rng)
-        s = s.scaled(rng.uniform(1e-3, 36.0) / frobenius(s))
+        s = SymMat(s.coeffs * (rng.uniform(1e-3, 36.0) / frobenius(s)))
         back = mat_log(mat_exp(s))
         scale = max(1.0, np.abs(s.coeffs).max())
         assert np.abs(back.coeffs - s.coeffs).max() <= 1e-10 * scale
@@ -520,7 +520,7 @@ def test_project_log_ball_lands_on_sphere():
     rng = np.random.default_rng(21)
     for _ in range(50):
         s = random_symmat(rng)
-        s = s.scaled(rng.uniform(37.0, 80.0) / frobenius(s))
+        s = SymMat(s.coeffs * (rng.uniform(37.0, 80.0) / frobenius(s)))
         a = mat_exp(s)
         p = project_log_ball(a, 36.0)
         assert abs(frobenius(mat_log(p)) - 36.0) < 1e-9
@@ -659,17 +659,17 @@ def test_geodesic_interpolates_distance():
 def test_fa_isotropic_is_zero():
     for c in (1.0, 2.0, 1e-3):
         a = project_full(np.eye(3) * c)
-        assert fractional_anisotropy(a) < 1e-12
+        assert fa_of_eigenvalues(a.eig.values) < 1e-12
 
 
 def test_fa_needle_limit_approaches_one():
     a = project_full(np.diag([1.0, 1e-6, 1e-6]))
-    assert fractional_anisotropy(a) > 1.0 - 3e-6
+    assert fa_of_eigenvalues(a.eig.values) > 1.0 - 3e-6
 
 
 def test_fa_two_one_one():
     a = project_full(np.diag([2.0, 1.0, 1.0]))
-    assert abs(fractional_anisotropy(a) - np.sqrt(1.0 / 6.0)) < 1e-12
+    assert abs(fa_of_eigenvalues(a.eig.values) - np.sqrt(1.0 / 6.0)) < 1e-12
 
 
 def test_fa_rotation_invariant():
@@ -678,7 +678,7 @@ def test_fa_rotation_invariant():
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     a = project_full(np.diag(lam))
     b = project_full((q * lam) @ q.T)
-    assert abs(fractional_anisotropy(a) - fractional_anisotropy(b)) < 1e-10
+    assert abs(fa_of_eigenvalues(a.eig.values) - fa_of_eigenvalues(b.eig.values)) < 1e-10
 
 
 # ---- batched coefficient kernels ----
