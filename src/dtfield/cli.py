@@ -90,18 +90,18 @@ _GENERATE_OPTS = [
 _SOLVE_OPTS = [
     Opt("objective", _choice(*_OBJECTIVES), "loglog",
         "objective: loglog (metric), euclid, or sobolev"),
-    Opt("p", float, 1.1, "fidelity/regularity exponent"),
-    Opt("s", float, 0.5, "fractional smoothness order"),
-    Opt("alpha", float, 1.0, "metric double-integral weight"),
-    Opt("beta", float, 1.0, "Sobolev comparison weight"),
-    Opt("l", int, 1, "1 = mollifier window, 0 = all pixel pairs"),
-    Opt("nrho", int, 3, "mollifier radius in pixels"),
-    Opt("z", float, LOG_BOUND_DEFAULT, "log-norm bound of the feasible set"),
-    Opt("epsilon", float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
-    Opt("iters", int, 50, "maximum gradient iterations"),
-    Opt("init-step", float, 1.0,
+    Opt("p", float, FunctionalParams.p, "fidelity/regularity exponent"),
+    Opt("s", float, FunctionalParams.s, "fractional smoothness order"),
+    Opt("alpha", float, FunctionalParams.alpha, "metric double-integral weight"),
+    Opt("beta", float, FunctionalParams.beta, "Sobolev comparison weight"),
+    Opt("l", int, FunctionalParams.l, "1 = mollifier window, 0 = all pixel pairs"),
+    Opt("nrho", int, FunctionalParams.n_rho, "mollifier radius in pixels"),
+    Opt("z", float, FunctionalParams.z, "log-norm bound of the feasible set"),
+    Opt("epsilon", float, FunctionalParams.epsilon, "eigenvalue floor of the projection"),
+    Opt("iters", int, SolverConfig.max_iters, "maximum gradient iterations"),
+    Opt("init-step", float, SolverConfig.init_step,
         "fresh line searches (the first, and one before a run stops) start at 2 x init-step"),
-    Opt("rel-tol", float, 1e-8, "relative decrease stopping tolerance"),
+    Opt("rel-tol", float, SolverConfig.rel_tol, "relative decrease stopping tolerance"),
 ]
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
+    EigenPair,
     SpdTensor,
     SymMat,
     _W3,
@@ -36,7 +37,6 @@ from .spd import (
     log_coeffs,
     project_full_coeffs,
     project_log_coeffs,
-    sym_eig,
     weighted_norm_sq,
 )
 
@@ -96,7 +96,7 @@ class TensorField:
 
     def tensor_at(self, row: int, col: int) -> SpdTensor:
         mat = SymMat(self.coeffs[row, col])
-        eig = sym_eig(mat)
+        eig = EigenPair(*eigh_coeffs(mat.coeffs))
         return SpdTensor(mat, max(self.log_bound, float(_log_norm(eig.values))), eig=eig)
 
 
@@ -221,11 +221,6 @@ def _field_rep(w: TensorField, metric: str) -> np.ndarray:
     return w.coeffs
 
 
-def _power_p(norm_sq: np.ndarray, p: float) -> np.ndarray:
-    """(norm^2)^(p/2), safe at 0 for p < 2."""
-    return np.power(norm_sq, 0.5 * p)
-
-
 def _power_grad_factor(norm_sq: np.ndarray, p: float) -> np.ndarray:
     """d/dnorm factor norm^(p-2), with the 0/0 limit resolved to 0."""
     return np.power(norm_sq, 0.5 * p - 1.0, out=np.zeros_like(norm_sq), where=norm_sq > 0.0)
@@ -243,7 +238,7 @@ def fidelity_energy(rep: np.ndarray, data_rep: np.ndarray, mask_values: np.ndarr
     """
     diff = rep - data_rep
     nsq = weighted_norm_sq(diff)
-    masked = np.where(mask_values, _power_p(nsq, p), 0.0)
+    masked = np.where(mask_values, np.power(nsq, 0.5 * p), 0.0)
     energy = masked.sum(axis=(-2, -1))
     if not need_grad:
         return energy
@@ -286,7 +281,7 @@ def pairwise_energy(rep: np.ndarray, offsets: list[tuple[int, int, float]],
                     p: float, need_grad: bool = False):
     """Sum over ordered pixel pairs of kernel * distance^p in coordinate space.
 
-    rep is (..., height, width, 6); offsets comes from phi_kernel_offsets.
+    rep is (..., height, width, 6); offsets is phi_kernel_offsets(height, width, ...).
     The gradient sums the unweighted pair terms and applies the Frobenius
     weights once at the end: they are 1 and 2, so the bits are the same.
     """
@@ -294,8 +289,6 @@ def pairwise_energy(rep: np.ndarray, offsets: list[tuple[int, int, float]],
     energy = np.zeros(rep.shape[:-3])
     grad = np.zeros_like(rep) if need_grad else None
     for di, dj, kernel in offsets:
-        if di >= height or abs(dj) >= width:
-            continue
         rows_a = slice(0, height - di)
         rows_b = slice(di, height)
         if dj >= 0:
@@ -308,7 +301,7 @@ def pairwise_energy(rep: np.ndarray, offsets: list[tuple[int, int, float]],
         b = rep[..., rows_b, cols_b, :]
         diff = a - b
         nsq = weighted_norm_sq(diff)
-        energy = energy + 2.0 * kernel * _power_p(nsq, p).sum(axis=(-2, -1))
+        energy = energy + 2.0 * kernel * np.power(nsq, 0.5 * p).sum(axis=(-2, -1))
         if need_grad:
             diff *= (2.0 * kernel * p * _power_grad_factor(nsq, p))[..., None]
             grad[..., rows_a, cols_a, :] += diff
@@ -335,7 +328,7 @@ def theta_energy(coeffs: np.ndarray, p: float, need_grad: bool = False):
     if height > 1:
         dy = coeffs[..., 1:, :, :] - coeffs[..., :-1, :, :]
         gsq[..., :-1, :] += weighted_norm_sq(dy)
-    energy = _power_p(gsq, p).sum(axis=(-2, -1))
+    energy = np.power(gsq, 0.5 * p).sum(axis=(-2, -1))
     if not need_grad:
         return energy
     h = p * _power_grad_factor(gsq, p)
@@ -363,25 +356,21 @@ class Objective:
     objective is "f-log-euclidean" (fidelity + alpha * Phi over per-pixel
     matrix-log coefficients, where the feasible set is the log-norm ball),
     "f-euclidean" (the same functional over raw coefficients) or "fc"
-    (Frobenius fidelity + beta * Theta over raw coefficients).  data is the
-    observed TensorField, or its coefficients already in the objective's
-    coordinates.  value and value_grad take coordinate arrays; start maps a
-    TensorField into feasible coordinates and finish maps them back.
+    (Frobenius fidelity + beta * Theta over raw coefficients).  The observed
+    TensorField data and start's init map to coordinates through _field_rep;
+    value and value_grad take coordinate arrays, project decides and maps
+    onto the feasible set, and finish maps coordinates back to a field.
     """
 
-    def __init__(self, objective: str, data, mask, params: FunctionalParams):
+    def __init__(self, objective: str, data: TensorField, mask, params: FunctionalParams):
         if objective not in _OBJECTIVES:
             raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
         self.kind = objective
         self.params = params
         self.log_mode = objective == "f-log-euclidean"
-        if not isinstance(data, TensorField):
-            self.target = np.asarray(data, dtype=np.float64)
-        elif self.log_mode:
-            self.target = log_coeffs(data.coeffs)
-        else:
-            self.target = data.coeffs
-        height, width = self.target.shape[-3:-1]
+        self.metric = "log-euclidean" if self.log_mode else "euclidean"
+        self.target = _field_rep(data, self.metric)
+        height, width = data.height, data.width
         self.mask_values = _mask_values(mask, (height, width))
         self.reg_weight = params.beta if objective == "fc" else params.alpha
         if objective != "fc" and params.alpha > 0.0:
@@ -390,23 +379,16 @@ class Objective:
             self.offsets = []
 
     def start(self, init: TensorField | None = None) -> np.ndarray:
-        """Feasible coordinates of init.  None starts where optim.default_init
-        does (the data, masked-out pixels at project_full(0)), built from the
-        target so that the data is not decomposed again."""
+        """Feasible start coordinates, project(_field_rep(init)).  None starts
+        where optim.default_init does (the data, masked-out pixels at
+        project_full(0)), built from the target: the data is not decomposed again."""
         if init is None:
             x = self.target.copy()
             floor = project_full_coeffs(np.zeros(6), self.params.epsilon, self.params.z)
             x[~self.mask_values] = log_coeffs(floor) if self.log_mode else floor
         else:
-            x = log_coeffs(init.coeffs) if self.log_mode else init.coeffs
-        if self.log_mode:
-            # a pixel can leave the feasible set through the ball or, when
-            # -log(epsilon) < z, through the eigenvalue floor
-            reach = min(self.params.z, -math.log(self.params.epsilon))
-            if (weighted_norm_sq(x) > reach ** 2 * (1.0 + 1e-12)).any():
-                x = project_log_coeffs(x, self.params.epsilon, self.params.z)
-            return x
-        return project_full_coeffs(x, self.params.epsilon, self.params.z)
+            x = _field_rep(init, self.metric)
+        return self.project(x)
 
     def _regularizer(self, x: np.ndarray, need_grad: bool = False):
         if self.kind == "fc":

@@ -147,16 +147,16 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     (momentum, warm plain, fresh plain) are one backtracking loop with its own
     acceptance rule.  The returned trajectory starts at the initial objective
     and is non-increasing.  Without init the solve starts from
-    default_init(data, mask, params).
+    default_init(data, mask, params), through Objective.start; a start
+    objective that is not finite raises OverflowError.
     """
     config = config if config is not None else SolverConfig()
-    mask_values = _mask_values(mask, (data.height, data.width))
     if init is not None and (init.height, init.width) != (data.height, data.width):
         raise ValueError(
             f"init {init.height}x{init.width} does not match data {data.height}x{data.width}"
         )
     started = time.perf_counter()
-    pack = Objective(objective, data, mask_values, params)
+    pack = Objective(objective, data, mask, params)
 
     def ladder(base, grad, step, stops, plain=False):
         """Backtrack over the trials P(base - step * grad / W) until
@@ -188,6 +188,9 @@ def solve(data: TensorField, mask, params: FunctionalParams,
 
     x = x_prev = pack.start(init)
     current = float(pack.value(x))
+    if not math.isfinite(current):
+        raise OverflowError(f"objective {current} at the start point; "
+                            f"alpha, beta or p may be too large")
     trajectory = [current]
     converged = False
     evaluations = 1

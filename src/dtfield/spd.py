@@ -18,8 +18,8 @@ eigh_coeffs is the one entry to the eigensolver, for the scalar
 SymMat/SpdTensor API and the batched (..., 6) kernels alike.  The two APIs
 differ only in the eigendecomposition that an SpdTensor carries, and share
 one private helper per spectral map: _exp_values and _log_values (with the
-overflow and positive-definiteness checks), _clamp (the floor), _into_ball
-(the log-ball rescale), _project_values (floor, then rescale), _log_norm,
+overflow and positive-definiteness checks), _into_ball (the log-ball
+rescale), _project_values (np.clip floor, then rescale), _log_norm,
 _coeffs_from_eig, and _exp_eig for the decomposition that exp follows.
 project_full_coeffs decomposes only the elements that a certificate cannot
 prove feasible, and the full projections reject a floor outside the z ball.
@@ -201,11 +201,6 @@ def _log_values(vals: np.ndarray, what: str = "matrix log") -> np.ndarray:
     return np.log(vals)
 
 
-def _clamp(vals: np.ndarray, lo: float, hi: float = np.inf) -> np.ndarray:
-    """Eigenvalues clamped into [lo, hi]: the floor of every projection."""
-    return np.clip(vals, lo, hi)
-
-
 def _into_ball(x: np.ndarray, z: float, sq=None) -> np.ndarray:
     """Rows of x with squared norm sq > z^2 (default: sum of squares) rescaled onto norm z."""
     sq = (x * x).sum(axis=-1) if sq is None else sq
@@ -215,7 +210,7 @@ def _into_ball(x: np.ndarray, z: float, sq=None) -> np.ndarray:
 
 def _project_values(vals: np.ndarray, epsilon: float, z: float) -> np.ndarray:
     """The full projection on eigenvalues: floor at epsilon, then log-ball rescale."""
-    return _exp_values(_into_ball(_log_values(_clamp(vals, epsilon)), z))
+    return _exp_values(_into_ball(_log_values(np.clip(vals, epsilon, None)), z))
 
 
 def _log_norm(vals: np.ndarray, what: str = "log-norm") -> np.ndarray:
@@ -304,7 +299,7 @@ class SpdTensor:
             raise ValueError(f"certified_log_bound must be finite and >= 0, got {bound}")
         object.__setattr__(self, "certified_log_bound", bound)
         if self.eig is None:
-            object.__setattr__(self, "eig", sym_eig(self.mat))
+            object.__setattr__(self, "eig", EigenPair(*eigh_coeffs(self.mat.coeffs)))
         else:
             residual = assemble_from_eig(self.eig.values, self.eig.vectors) - self.mat.matrix
             if np.abs(residual).max() > 1e-12 * max(1.0, frobenius(self.mat)):
@@ -318,11 +313,6 @@ class SpdTensor:
     @property
     def matrix(self) -> np.ndarray:
         return self.mat.matrix
-
-
-def sym_eig(m: SymMat) -> EigenPair:
-    """Eigendecomposition of a SymMat (descending values, sign-fixed vectors)."""
-    return EigenPair(*_eig_of(m))
 
 
 def frobenius(m: SymMat) -> float:
@@ -391,7 +381,7 @@ def project_spec(a, lo: float, hi: float = np.inf) -> SpdTensor:
     if not (hi >= lo):
         raise ValueError(f"need hi >= lo, got lo={lo}, hi={hi}")
     vals, vecs = _eig_of(a, symmetrize=True)
-    clamped = _clamp(vals, lo, hi)
+    clamped = np.clip(vals, lo, hi)
     return _spd_from_eig(clamped, vecs, float(_log_norm(clamped)))
 
 
@@ -524,6 +514,6 @@ def project_log_coeffs(logcoeffs: np.ndarray, epsilon: float, z: float) -> np.nd
     deep = norms[over] > -log_eps  # only these can have an eigenvalue below log(eps)
     if deep.any():
         vals, vecs = eigh_coeffs(sel[deep])
-        scaled[deep] = _coeffs_from_eig(_into_ball(_clamp(vals, log_eps), z), vecs)
+        scaled[deep] = _coeffs_from_eig(_into_ball(np.clip(vals, log_eps, None), z), vecs)
     out[over] = scaled
     return out

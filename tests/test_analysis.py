@@ -78,6 +78,11 @@ def test_snr_rejects_zero_field_and_shape_mismatch():
 
 # ---- log distances ----
 
+def test_log_distance_map_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=re.escape("field shapes differ: (2, 2, 6) vs (2, 3, 6)")):
+        log_distance_map(isotropic_field(2, 2, 1.0), isotropic_field(2, 3, 1.0))
+
+
 def test_log_distance_isotropic_pair():
     a = isotropic_field(2, 3, 1.0)
     b = isotropic_field(2, 3, math.e)

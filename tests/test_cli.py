@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dtfield.cli import _SOLVE_OPTS, main
-from dtfield.fileio import field_to_text, read_field, write_field
+from dtfield.fileio import read_field, write_field
 from dtfield.analysis import log_distance_map
 from dtfield.spd import eigh_coeffs
 from dtfield.synth import make_staircase_phantom
@@ -252,6 +252,23 @@ def test_solve_objective_variants(tmp_path, capsys):
             != (tmp_path / "sobolev.dtf").read_bytes())
 
 
+def test_overflowing_objective_exits_3(tmp_path, capsys):
+    # alpha = 1.7e308 overflows the start objective: this used to exit 0 with
+    # "converged": true and "final_objective": Infinity in the report
+    code, _, err = run(capsys, "generate", "--phantom", "staircase", "--n", "6",
+                       "--sigma2", "1600", "--out", str(tmp_path))
+    assert code == 0, err
+    out = tmp_path / "r.dtf"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, stdout, err = run(capsys, "denoise", str(tmp_path / "noisy.dtf"),
+                                "--alpha", "1.7e308", "--out", str(out))
+    assert code == 3
+    assert err.startswith("error: objective inf at the start point")
+    assert stdout == ""
+    assert not out.exists()
+    assert not (tmp_path / "r.dtf.report.json").exists()
+
+
 def test_solve_runtime_failure_exits_3(tmp_path, capsys):
     data = generate(capsys, tmp_path)
     code, _, err = run(capsys, "denoise", str(data / "noisy.dtf"),
@@ -322,6 +339,28 @@ def test_sweep_writes_one_output_per_value(tmp_path, capsys):
     assert "alpha=0.5" in stdout and "alpha=2" in stdout
     assert ((tmp_path / "rec.alpha-0.5.dtf").read_bytes()
             != (tmp_path / "rec.alpha-2.dtf").read_bytes())
+
+
+def test_sweep_suffixes_an_explicit_report_path(tmp_path, capsys):
+    data = generate(capsys, tmp_path)
+    code, stdout, err = run(capsys, "denoise", str(data / "noisy.dtf"), "--sweep", "alpha=0.5,2",
+                            "--iters", "4", "--out", str(tmp_path / "rec.dtf"),
+                            "--report", str(tmp_path / "runs.json"))
+    assert code == 0, err
+    for token in ("0.5", "2"):
+        report = json.loads((tmp_path / f"runs.alpha-{token}.json").read_text())
+        assert f"alpha={token}: objective {report['final_objective']!r}" in stdout
+        assert not (tmp_path / f"rec.alpha-{token}.dtf.report.json").exists()
+    assert not (tmp_path / "runs.json").exists()
+
+
+def test_sweep_rejects_non_numbers(tmp_path, capsys):
+    data = generate(capsys, tmp_path)
+    code, _, err = run(capsys, "denoise", str(data / "noisy.dtf"), "--sweep", "alpha=1,x",
+                       "--out", str(tmp_path / "rec.dtf"))
+    assert code == 2
+    assert "--sweep value 'x' is not a number" in err
+    assert not (tmp_path / "rec.alpha-1.dtf").exists()
 
 
 def test_sweep_rejects_other_keys(tmp_path, capsys):

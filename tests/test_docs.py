@@ -16,6 +16,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 FORMATS = README.parent / "FORMATS.md"
 SRC = Path(dtfield.__file__).resolve().parent
 PERFBENCH = README.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def module_table_rows():
@@ -71,6 +72,27 @@ def test_every_public_definition_has_a_use():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
     assert not unused, f"public but unused: {unused}"
+
+
+def test_test_modules_use_every_import():
+    # the public-use guard above scans src/ and perfbench/ only, so a dead
+    # import in a test module would go unseen; "# noqa: F401" keeps one
+    unused = []
+    for path in sorted(TESTS.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                noqa = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+                if name not in used and not any("# noqa: F401" in line for line in noqa):
+                    unused.append(f"{path.name}: {name}")
+    assert not unused, f"imported but unused: {unused}"
 
 
 def formats_section(title):

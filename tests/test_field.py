@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,32 @@ def test_tensor_field_rejects_out_of_ball_pixel():
     coeffs[0, 1, 0] = np.exp(4.0)
     with pytest.raises(ValueError, match="bound"):
         TensorField(coeffs, log_bound=3.0)
+
+
+@pytest.mark.parametrize("coeffs,log_bound,message", [
+    (np.ones((2, 2, 5)), 36.0, "expected (height, width, 6) coefficients, got (2, 2, 5)"),
+    (np.ones((2, 6)), 36.0, "expected (height, width, 6) coefficients, got (2, 6)"),
+    (np.ones((0, 2, 6)), 36.0, "empty grid (0, 2)"),
+    (np.full((1, 1, 6), np.nan), 36.0, "non-finite coefficients"),
+    (np.ones((1, 1, 6)), -1.0, "log_bound must be finite and >= 0, got -1.0"),
+    (np.ones((1, 1, 6)), np.inf, "log_bound must be finite and >= 0, got inf"),
+], ids=["last-axis", "2-d", "empty", "nan", "bound-negative", "bound-inf"])
+def test_tensor_field_rejects_malformed_input(coeffs, log_bound, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TensorField(coeffs, log_bound)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda w: theta_regularizer(np.ones((2, 6)), 2.0),
+     "expected (height, width, 6) coefficients, got (2, 6)"),
+    (lambda w: Mask(np.ones(3, dtype=bool)), "expected a 2-D mask, got shape (3,)"),
+    (lambda w: fidelity(w, w, Mask.full(2, 2), 2.0, metric="affine"),
+     "unknown metric 'affine', expected one of ('log-euclidean', 'euclidean')"),
+], ids=["grid-shape", "mask-1-d", "metric"])
+def test_field_functions_reject_malformed_input(call, message):
+    w = TensorField(np.tile([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], (2, 2, 1)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(w)
 
 
 def test_mask_validation():
@@ -438,7 +465,8 @@ def test_functional_convex_along_segments():
     data_logs = rng.standard_normal((4, 4, 6))
     for p in (1.1, 2.0):
         params = FunctionalParams(p=p, s=0.5, alpha=0.7, l=1, n_rho=2)
-        objective = Objective("f-log-euclidean", data_logs, mask_values, params).value
+        objective = Objective("f-log-euclidean", TensorField(exp_coeffs(data_logs)), mask_values,
+                              params).value
 
         for _ in range(20):
             l1 = rng.standard_normal((4, 4, 6))

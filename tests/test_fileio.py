@@ -233,14 +233,14 @@ def test_header_error_messages_are_exact(parse, layout, bad_magic, bad_count):
         assert str(err.value) == f"line 1: {message}"
 
 
-def test_field_bad_magic():
-    with pytest.raises(FormatError, match="line 1"):
-        field_from_text("DTF9 2 2 3 36.0\n")
-
-
-def test_field_empty_file():
-    with pytest.raises(FormatError, match="line 1"):
-        field_from_text("")
+@pytest.mark.parametrize("header,message", [
+    ("DTF1 0 2 3 36.0", "width must be >= 1, got 0"),
+    ("DTF1 2 -1 3 36.0", "height must be >= 1, got -1"),
+], ids=["width-0", "height-negative"])
+def test_field_grid_below_one_rejected(header, message):
+    with pytest.raises(FormatError) as err:
+        field_from_text(header + "\n")
+    assert str(err.value) == f"line 1: {message}"
 
 
 def test_field_bad_dimension():
@@ -316,11 +316,6 @@ def test_mask_wrong_row_width():
 def test_mask_all_false_rejected():
     with pytest.raises(ValueError, match="no true"):
         mask_from_text("MSK1 2 1\n00\n")
-
-
-def test_dwis_bad_header():
-    with pytest.raises(FormatError, match="line 1"):
-        dwis_from_text("DWI1 2 2\n")
 
 
 def test_dwis_bad_direction_line():

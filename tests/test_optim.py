@@ -1,6 +1,8 @@
 """Tests for the projected gradient solver and its gradients."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,24 @@ def test_parameters_reject_non_finite_values(cls, name):
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             cls(**{name: value})
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"p": 1.0}, "p must be > 1, got 1.0"),
+    ({"s": 0.0}, "s must lie in (0, 1), got 0.0"),
+    ({"s": 1.0}, "s must lie in (0, 1), got 1.0"),
+    ({"alpha": -1.0}, "alpha must be >= 0, got -1.0"),
+    ({"beta": -0.5}, "beta must be >= 0, got -0.5"),
+    ({"l": 2}, "l must be 0 or 1, got 2"),
+    ({"n_rho": 2.5}, "n_rho must be an integer >= 1, got 2.5"),
+    ({"n_rho": 0}, "n_rho must be an integer >= 1, got 0"),
+    ({"z": 0.0}, "z must be > 0, got 0.0"),
+    ({"epsilon": 0.0}, "epsilon must be > 0, got 0.0"),
+    ({"epsilon": -1.0}, "epsilon must be > 0, got -1.0"),
+])
+def test_functional_params_reject_out_of_range_values(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FunctionalParams(**kwargs)
 
 
 def test_parameters_reject_floor_outside_log_ball():
@@ -465,6 +485,29 @@ def test_default_start_bit_equals_default_init(masked, epsilon):
         # -log(epsilon) < z: pixels below the floor leave the feasible set
         expected = project_log_coeffs(expected, params.epsilon, params.z)
     assert np.array_equal(Objective("f-log-euclidean", data, mask, params).start(), expected)
+
+
+@pytest.mark.parametrize("epsilon,z", [(None, 36.0), (1e-3, 5.0), (1e-8, 3.0)],
+                         ids=["default", "eps-1e-3-z-5", "eps-1e-8-z-3"])
+def test_log_start_is_a_fixed_point_of_project(epsilon, z):
+    # start decides feasibility by project alone: at epsilon 1e-3 and z 5 the
+    # floor seed of a hole lies 8.9e-16 past the ball, and is projected
+    data = constant_field(6, 6, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    present = np.ones((6, 6), dtype=bool)
+    present[2:4, 2:4] = False
+    kwargs = {"z": z} if epsilon is None else {"epsilon": epsilon, "z": z}
+    pack = Objective("f-log-euclidean", data, present, FunctionalParams(**kwargs))
+    x = pack.start()
+    assert np.array_equal(pack.project(x), x)
+
+
+def test_overflowing_start_objective_raises():
+    # an infinite start objective passed the plateau test: this solve was
+    # reported as converged after 0 iterations, with final_objective inf
+    data = corrupt_field(make_staircase_phantom(6), NoiseSpec(1600, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match="^objective inf at the start point"):
+            solve(data, Mask.full(6, 6), FunctionalParams(alpha=1.7e308))
 
 
 @pytest.mark.parametrize("objective", ["f-log-euclidean", "f-euclidean", "fc"])

@@ -3,6 +3,7 @@ metrics, projections, geodesics, and fractional anisotropy."""
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,6 @@ from dtfield.spd import (
     project_log_ball,
     project_log_coeffs,
     project_spec,
-    sym_eig,
     weighted_norm_sq,
     _COLS,
     _ROWS,
@@ -132,7 +132,7 @@ def test_symmat_validation():
 # ---- eigendecomposition ----
 
 def test_sym_eig_diagonal_matrix():
-    e = sym_eig(SymMat(np.array([3.0, 2.0, 1.0, 0.0, 0.0, 0.0])))
+    e = EigenPair(*eigh_coeffs(np.array([3.0, 2.0, 1.0, 0.0, 0.0, 0.0])))
     assert np.array_equal(e.values, [3.0, 2.0, 1.0])
     assert np.allclose(np.abs(e.vectors), np.eye(3), atol=1e-15)
 
@@ -149,7 +149,7 @@ def test_sym_eig_is_eigh_coeffs():
     rng = np.random.default_rng(11)
     for _ in range(200):
         c = rng.standard_normal(6) * np.exp(rng.uniform(-5, 5))
-        e = sym_eig(SymMat(c))
+        e = EigenPair(*eigh_coeffs(SymMat(c).coeffs))
         values, vectors = eigh_coeffs(c)
         assert np.array_equal(e.values, values) and np.array_equal(e.vectors, vectors)
 
@@ -158,7 +158,7 @@ def test_sym_eig_reconstruction_and_orthogonality():
     rng = np.random.default_rng(1)
     for _ in range(200):
         m = random_symmat(rng, scale=float(np.exp(rng.uniform(-3, 3))))
-        e = sym_eig(m)
+        e = EigenPair(*eigh_coeffs(m.coeffs))
         assert np.all(np.diff(e.values) <= 0)
         resid = assemble_from_eig(e.values, e.vectors) - m.matrix
         norm = np.sqrt((m.matrix ** 2).sum())
@@ -169,8 +169,8 @@ def test_sym_eig_reconstruction_and_orthogonality():
 def test_sym_eig_deterministic():
     rng = np.random.default_rng(2)
     m = random_symmat(rng)
-    e1 = sym_eig(m)
-    e2 = sym_eig(m)
+    e1 = EigenPair(*eigh_coeffs(m.coeffs))
+    e2 = EigenPair(*eigh_coeffs(m.coeffs))
     assert np.array_equal(e1.values, e2.values)
     assert np.array_equal(e1.vectors, e2.vectors)
 
@@ -501,6 +501,17 @@ def test_project_spec_optimality_against_sampled_points():
         x = (q * lam) @ q.T
         d_x = np.sqrt(((m - x) ** 2).sum())
         assert d_proj <= d_x + 1e-12
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SymMat.from_matrix(np.diag([1.0, np.nan, 1.0])), "non-finite entries"),
+    (lambda: SymMat.from_matrix(np.diag([1.0, 1.0, np.inf])), "non-finite entries"),
+    (lambda: project_log_ball(mat_exp(SymMat(np.zeros(6))), 0.0), "z must be > 0, got 0.0"),
+    (lambda: project_log_ball(mat_exp(SymMat(np.zeros(6))), -1.0), "z must be > 0, got -1.0"),
+], ids=["from-matrix-nan", "from-matrix-inf", "log-ball-z-0", "log-ball-z-negative"])
+def test_scalar_api_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_project_log_ball_inside_is_identity():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,18 @@ def test_main_direction_band_geometry():
     horiz = field.tensor_at(8, 6)
     vals, vecs = np.linalg.eigh(horiz.mat.matrix)
     assert abs(vecs[:, -1] @ np.array([1.0, 0.0, 0.0])) > 0.999
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: DwiSet(np.ones((6, 2)), 800.0, 1000.0, np.ones((6, 2, 2))),
+     "directions must be (k, 3), got (6, 2)"),
+    (lambda: DwiSet(np.ones(3), 800.0, 1000.0, np.ones((1, 2, 2))),
+     "directions must be (k, 3), got (3,)"),
+    (lambda: make_main_direction_phantom(4), "main-direction phantom needs n >= 5, got 4"),
+], ids=["directions-k-2", "directions-1-d", "main-direction-n-4"])
+def test_synth_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_phantoms_live_in_log_ball():
