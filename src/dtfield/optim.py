@@ -19,10 +19,14 @@ trial is not accepted, or no step meets the bound, t restarts at 1 and the
 iteration is redone as a plain step from x.  A plain step's ladder runs
 from x and stops at a trial that satisfies the Armijo condition
 f(trial) <= f(x) + c * <grad, trial - x> (c = _ARMIJO_C) and the decrease.
-Ladders are warm, starting at twice the last accepted step (the first at
-twice init_step).  A run stops only after a plain step's fresh ladder from
-the current point also fails; that is the first ladder of a re-solve from
-the result, so re-solving changes the objective by less than the tolerance.
+Ladders are warm: the next one starts at _GROW times the accepted step when
+a ladder's first trial was accepted, and at the accepted step otherwise, so
+a steady step costs one evaluation and a short one can still grow (the
+backtracking of Scheinberg, Goldfarb & Bai).  The first ladder starts at
+twice init_step.  A run stops only after a plain step's fresh ladder from
+the current point, also at twice init_step, fails too; that is the first
+ladder of a re-solve from the result, so re-solving changes the objective
+by less than the tolerance.
 
 All three objectives are convex in the iterate's coordinates, so
 f(x) - f(trial) <= <grad, x - trial>.  A plain ladder therefore skips,
@@ -47,6 +51,7 @@ from .spd import _W3, project_full_coeffs, weighted_norm_sq
 _MAX_BACKTRACKS = 60
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of plain steps
 _BACKTRACK = 0.5  # step shrink factor of every ladder
+_GROW = 1.25  # next start over the accepted step, after a first-trial acceptance
 
 # relative rounding slack of objective values: an unaccepted line search
 # whose best trial does not ascend past it is a floating-point plateau, i.e.
@@ -163,14 +168,21 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         stops(trial point - base, <grad, trial point - base>, trial value,
         step); that trial is accepted if it lowers f(x) by the threshold.  A
         plain ladder (base = x) skips the trials that convexity rules out,
-        but evaluates its last trial if it would otherwise end on a skip.
-        Returns the accepted (point, value, next start step) or None, and the
-        best trial value."""
+        but evaluates its last trial if it would otherwise end on a skip; a
+        trial point that overflows is rejected unprojected.  The next start
+        step is _GROW times the accepted step if the first trial was evaluated
+        and accepted, else the accepted step.  Returns the accepted (point,
+        value, next start step) or None, and the best trial value."""
         nonlocal evaluations
         direction = grad / _W3  # Frobenius-geometry descent direction
         best = np.inf
         for rung in range(_MAX_BACKTRACKS + 1):
-            candidate = pack.project(base - step * direction)
+            with np.errstate(over="ignore"):
+                point = base - step * direction
+            if not np.isfinite(point).all():  # overflowed: a rejected rung, not projected
+                step *= _BACKTRACK
+                continue
+            candidate = pack.project(point)
             d = candidate - base
             slope = float((grad * d).sum())
             if plain and rung < _MAX_BACKTRACKS and _ruled_out(-slope, threshold, current):
@@ -181,7 +193,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             best = min(best, trial)
             if stops(d, slope, trial, step):
                 if current - trial >= threshold:
-                    return (candidate, trial, step / _BACKTRACK), best
+                    return (candidate, trial, step * _GROW if rung == 0 else step), best
                 break
             step *= _BACKTRACK
         return None, best

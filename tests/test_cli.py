@@ -269,6 +269,21 @@ def test_overflowing_objective_exits_3(tmp_path, capsys):
     assert not (tmp_path / "r.dtf.report.json").exists()
 
 
+def test_overflowing_trial_step_exits_3(tmp_path, capsys):
+    # the start objective is finite but every trial point overflows: this
+    # used to exit 2, the usage code, from the projection's ValueError
+    data = generate(capsys, tmp_path)
+    out = tmp_path / "r.dtf"
+    with np.errstate(over="ignore"):
+        code, stdout, err = run(capsys, "denoise", str(data / "noisy.dtf"),
+                                "--objective", "sobolev", "--beta", "1.7e308",
+                                "--out", str(out))
+    assert code == 3
+    assert err.startswith("error: no acceptable step")
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_solve_runtime_failure_exits_3(tmp_path, capsys):
     data = generate(capsys, tmp_path)
     code, _, err = run(capsys, "denoise", str(data / "noisy.dtf"),

@@ -95,16 +95,16 @@ def test_test_modules_use_every_import():
     assert not unused, f"imported but unused: {unused}"
 
 
-def formats_section(title):
-    """Text of the FORMATS.md section whose heading starts with title."""
-    text = FORMATS.read_text(encoding="utf-8")
+def doc_section(doc, title):
+    """Text of the section of doc (a Markdown path) whose heading starts with title."""
+    text = doc.read_text(encoding="utf-8")
     start = text.index(f"\n## {title}")
     end = text.find("\n## ", start + 1)
     return text[start:] if end < 0 else text[start:end]
 
 
 def test_formats_provenance_keys_match_generate(tmp_path, capsys):
-    listed = formats_section("Provenance").split("keys:", 1)[1].split(".", 1)[0]
+    listed = doc_section(FORMATS, "Provenance").split("keys:", 1)[1].split(".", 1)[0]
     documented = re.findall(r"`(\w+)`", listed)
     assert main(["generate", "--n", "2", "--out", str(tmp_path)]) == 0
     written = json.loads((tmp_path / "provenance.json").read_text(encoding="ascii"))
@@ -112,6 +112,33 @@ def test_formats_provenance_keys_match_generate(tmp_path, capsys):
 
 
 def test_formats_report_keys_match_solve_report():
-    documented = re.findall(r"^\|\s*`(\w+)`\s*\|", formats_section("Solve reports"), re.M)
+    documented = re.findall(r"^\|\s*`(\w+)`\s*\|", doc_section(FORMATS, "Solve reports"), re.M)
     report = SolveReport(0, [1.0], 1.0, False, 0.0)
     assert sorted(documented) == sorted(report.to_json_dict())
+
+
+def quick_start_transcript():
+    """(argv, printed lines) for each `$ dtfield` command of README's quick start."""
+    transcript = []
+    for block in re.findall(r"^```\n(.*?)^```", doc_section(README, "Command-line quick start"),
+                            re.S | re.M):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *printed = chunk.replace("\\\n", " ").splitlines()
+            argv = command.split()
+            assert argv[0] == "dtfield"
+            transcript.append((argv[1:], [line for line in printed if line]))
+    return transcript
+
+
+def test_readme_quick_start_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    # the hole README describes: rows and columns 3 to 6 of the 10x10 grid
+    (tmp_path / "hole.msk").write_text("MSK1 10 10\n" + "".join(
+        "".join("0" if 3 <= i <= 6 and 3 <= j <= 6 else "1" for j in range(10)) + "\n"
+        for i in range(10)), encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    transcript = quick_start_transcript()
+    assert [argv[0] for argv, _ in transcript] == [
+        "generate", "denoise", "evaluate", "evaluate", "render", "inpaint", "evaluate"]
+    for argv, shown in transcript:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == shown, argv
