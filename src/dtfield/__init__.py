@@ -25,7 +25,6 @@ from __future__ import annotations
 from .analysis import (
     column_eigen_profile,
     convergence_study,
-    field_log_distance,
     log_distance_map,
     render_svg,
     snr,
@@ -87,7 +86,6 @@ __all__ = [
     "corrupt_field",
     "default_init",
     "dist_log_euclidean",
-    "field_log_distance",
     "fit_field",
     "log_distance_map",
     "make_main_direction_phantom",

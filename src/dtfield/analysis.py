@@ -51,11 +51,6 @@ def log_distance_map(a, b) -> np.ndarray:
     return np.sqrt(weighted_norm_sq(la - lb))
 
 
-def field_log_distance(a, b) -> float:
-    """Summed per-pixel log-metric distance between two fields."""
-    return float(log_distance_map(a, b).sum())
-
-
 def column_eigen_profile(w) -> np.ndarray:
     """Per-column mean over rows of the largest eigenvalue, shape (width,)."""
     vals, _ = eigh_coeffs(_grid_coeffs(w))
@@ -159,7 +154,7 @@ def convergence_study(phantom: TensorField, noise_levels, alpha_rule=None, *,
         noisy = corrupt_field(phantom, NoiseSpec(delta * delta, seed),
                               epsilon=run_params.epsilon, z=run_params.z)
         rec, _ = solve(noisy, mask, run_params, config=config)
-        rows.append(StudyRow(delta, alpha, field_log_distance(rec, phantom)))
+        rows.append(StudyRow(delta, alpha, float(log_distance_map(rec, phantom).sum())))
     return rows
 
 

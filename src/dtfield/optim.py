@@ -15,18 +15,18 @@ the stopping trial is accepted if it lowers f(x) by at least
 rel_tol * max(1, |f(x)|).  A momentum step's ladder runs from
 y = x + ((t - 1) / t_next) (x - x_prev) and stops at the descent-lemma bound
 f(trial) <= f(y) + <grad, d> + ||d||_F^2 / (2 step), d = trial - y; when that
-trial is not accepted, or no step meets the bound, t restarts at 1 and the
-iteration is redone as a plain step from x.  A plain step's ladder runs
-from x and stops at a trial that satisfies the Armijo condition
-f(trial) <= f(x) + c * <grad, trial - x> (c = _ARMIJO_C) and the decrease.
-Ladders are warm: the next one starts at _GROW times the accepted step when
-a ladder's first trial was accepted, and at the accepted step otherwise, so
-a steady step costs one evaluation and a short one can still grow (the
-backtracking of Scheinberg, Goldfarb & Bai).  The first ladder starts at
-twice init_step.  A run stops only after a plain step's fresh ladder from
-the current point, also at twice init_step, fails too; that is the first
-ladder of a re-solve from the result, so re-solving changes the objective
-by less than the tolerance.
+trial is not accepted, no step meets the bound or f(y) or its gradient is not
+finite, t restarts at 1 and the iteration is redone as a plain step from x.
+A plain step's ladder runs from x and stops at a trial that satisfies the
+Armijo condition f(trial) <= f(x) + c * <grad, trial - x> (c = _ARMIJO_C)
+and the decrease.  Ladders are warm: the next one starts at _GROW times the
+accepted step when a ladder's first trial was accepted, and at the accepted
+step otherwise, so a steady step costs one evaluation and a short one can
+still grow (the backtracking of Scheinberg, Goldfarb & Bai).  The first
+ladder starts at twice init_step.  A run stops only after a plain step's
+fresh ladder from the current point, also at twice init_step, fails too;
+that is the first ladder of a re-solve from the result, so re-solving
+changes the objective by less than the tolerance.
 
 All three objectives are convex in the iterate's coordinates, so
 f(x) - f(trial) <= <grad, x - trial>.  A plain ladder therefore skips,
@@ -139,6 +139,7 @@ def default_init(data: TensorField, mask, params: FunctionalParams) -> TensorFie
     return TensorField(coeffs, max(data.log_bound, params.z))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing trial is a rejected rung
 def solve(data: TensorField, mask, params: FunctionalParams,
           objective: str = "f-log-euclidean",
           config: SolverConfig | None = None,
@@ -152,8 +153,9 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     (momentum, warm plain, fresh plain) are one backtracking loop with its own
     acceptance rule.  The returned trajectory starts at the initial objective
     and is non-increasing.  Without init the solve starts from
-    default_init(data, mask, params), through Objective.start; a start
-    objective that is not finite raises OverflowError.
+    default_init(data, mask, params), through Objective.start.  Overflow
+    never warns: a start objective or a gradient at x that is not finite
+    raises OverflowError, and a trial that overflows is rejected.
     """
     config = config if config is not None else SolverConfig()
     if init is not None and (init.height, init.width) != (data.height, data.width):
@@ -177,8 +179,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         direction = grad / _W3  # Frobenius-geometry descent direction
         best = np.inf
         for rung in range(_MAX_BACKTRACKS + 1):
-            with np.errstate(over="ignore"):
-                point = base - step * direction
+            point = base - step * direction
             if not np.isfinite(point).all():  # overflowed: a rejected rung, not projected
                 step *= _BACKTRACK
                 continue
@@ -217,14 +218,18 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             # momentum step from y, stopped by the descent-lemma bound at y
             y = x + ((t - 1.0) / t_next) * (x - x_prev)
             f_y, grad = pack.value_grad(y)  # comes with the gradient: not counted
-            accepted, _ = ladder(y, grad, start, lambda d, slope, trial, step: (
-                trial <= f_y + float(slope + weighted_norm_sq(d).sum() / (2 * step))))
+            if math.isfinite(f_y) and np.isfinite(grad).all():
+                accepted, _ = ladder(y, grad, start, lambda d, slope, trial, step: (
+                    trial <= f_y + float(slope + weighted_norm_sq(d).sum() / (2 * step))))
             if accepted is None:  # restart: redo this iteration as a plain step
                 restarts += 1
                 t = 1.0
                 t_next = (1.0 + math.sqrt(5.0)) / 2.0
         if accepted is None:
             grad = pack.value_grad(x)[1]
+            if not np.isfinite(grad).all():
+                raise OverflowError(f"gradient not finite at iteration {iteration + 1} (objective "
+                                    f"{current:.6g}); alpha, beta or p may be too large")
             if not np.abs(grad / _W3).max() > 0.0:
                 converged = True  # exact stationary point of a convex objective
                 break

@@ -1,4 +1,4 @@
-"""Symmetric-matrix kernel: eigendecomposition, exp/log, metrics, projections.
+"""Symmetric-matrix kernel: eigendecomposition, exp/log, metrics, the SPD projection.
 
 Every tensor is a real symmetric 3x3 matrix stored as its six independent
 coefficients [a11, a22, a33, a12, a13, a23]: the diagonal, then the upper
@@ -21,8 +21,10 @@ one private helper per spectral map: _exp_values and _log_values (with the
 overflow and positive-definiteness checks), _into_ball (the log-ball
 rescale), _project_values (np.clip floor, then rescale), _log_norm,
 _coeffs_from_eig, and _exp_eig for the decomposition that exp follows.
-project_full_coeffs decomposes only the elements that a certificate cannot
-prove feasible, and the full projections reject a floor outside the z ball.
+project_full (floor at epsilon, then ||Log||_F <= z) is the scalar API's one
+projection.  The solver calls its batched twins: project_full_coeffs, which
+decomposes only the elements that a certificate cannot prove feasible, and
+project_log_coeffs in log coordinates.  All three reject a floor outside the z ball.
 """
 from __future__ import annotations
 
@@ -282,7 +284,7 @@ class SpdTensor:
     the eigenvalues to [exp(-bound), exp(bound)].
 
     Operations that construct the matrix from a known eigendecomposition
-    (mat_exp, the projections, geodesic) attach that decomposition as `eig`;
+    (mat_exp, project_full, geodesic) attach that decomposition as `eig`;
     mat_log and friends reuse it.  Carrying the shared eigenbasis is what
     makes exp and log exact inverses even for extreme eigenvalue spreads,
     where a reassembled float64 matrix alone no longer determines its
@@ -366,36 +368,6 @@ def dist_affine_invariant(a, b) -> float:
     inv_sqrt = assemble_from_eig(1.0 / np.sqrt(vals), vecs)
     ivals, _ = _eig_of(inv_sqrt @ mb.matrix @ inv_sqrt, symmetrize=True)
     return float(_log_norm(ivals, "the dist_affine_invariant congruence"))
-
-
-def project_spec(a, lo: float, hi: float = np.inf) -> SpdTensor:
-    """Symmetrize, then clamp eigenvalues into [lo, hi].
-
-    This is the Frobenius-nearest matrix in the spectrally bounded SPD set:
-    the symmetric part is the nearest symmetric matrix, and clamping the
-    eigenvalues is the nearest spectrum.
-    """
-    lo, hi = float(lo), float(hi)
-    if not (lo > 0.0):
-        raise ValueError(f"lo must be > 0, got {lo}")
-    if not (hi >= lo):
-        raise ValueError(f"need hi >= lo, got lo={lo}, hi={hi}")
-    vals, vecs = _eig_of(a, symmetrize=True)
-    clamped = np.clip(vals, lo, hi)
-    return _spd_from_eig(clamped, vecs, float(_log_norm(clamped)))
-
-
-def project_log_ball(a: SpdTensor, z: float) -> SpdTensor:
-    """Rescale eigenvalues lambda -> lambda^(z/||Log A||_F) when the log norm exceeds z."""
-    z = float(z)
-    if not (z > 0.0):
-        raise ValueError(f"z must be > 0, got {z}")
-    vals, vecs = _eig_of(a)
-    logs = _log_values(vals, "project_log_ball")
-    c = float((logs * logs).sum())
-    if c <= z * z:
-        return a if isinstance(a, SpdTensor) else _spd_from_eig(vals, vecs, np.sqrt(c))
-    return _spd_from_eig(_exp_values(_into_ball(logs, z, c)), vecs, z)
 
 
 def project_full(a, epsilon: float = EPSILON_DEFAULT, z: float = LOG_BOUND_DEFAULT) -> SpdTensor:

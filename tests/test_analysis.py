@@ -13,7 +13,6 @@ from dtfield.analysis import (
     column_eigen_profile,
     convergence_study,
     default_alpha_rule,
-    field_log_distance,
     log_distance_map,
     render_svg,
     snr,
@@ -89,8 +88,8 @@ def test_log_distance_isotropic_pair():
     dist_map = log_distance_map(a, b)
     assert dist_map.shape == (2, 3)
     assert np.allclose(dist_map, math.sqrt(3.0), rtol=1e-12)
-    assert math.isclose(field_log_distance(a, b), 6 * math.sqrt(3.0), rel_tol=1e-12)
-    assert field_log_distance(a, a) == 0.0
+    assert math.isclose(log_distance_map(a, b).sum(), 6 * math.sqrt(3.0), rel_tol=1e-12)
+    assert log_distance_map(a, a).sum() == 0.0
 
 
 # ---- eigenvalue profiles ----

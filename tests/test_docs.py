@@ -142,3 +142,10 @@ def test_readme_quick_start_prints_what_it_shows(tmp_path, monkeypatch, capsys):
     for argv, shown in transcript:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out.splitlines() == shown, argv
+
+
+def test_readme_library_tour_prints_what_it_shows(capsys):
+    code, shown = re.findall(r"^```(?:python)?\n(.*?)^```", doc_section(README, "Library tour"),
+                             re.S | re.M)
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown.splitlines()

@@ -536,20 +536,64 @@ def test_overflowing_start_objective_raises():
     # an infinite start objective passed the plateau test: this solve was
     # reported as converged after 0 iterations, with final_objective inf
     data = corrupt_field(make_staircase_phantom(6), NoiseSpec(1600, 0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(OverflowError, match="^objective inf at the start point"):
-            solve(data, Mask.full(6, 6), FunctionalParams(alpha=1.7e308))
+    with pytest.raises(OverflowError, match="^objective inf at the start point"):
+        solve(data, Mask.full(6, 6), FunctionalParams(alpha=1.7e308))
 
 
 def test_overflowing_trial_point_is_a_rejected_rung():
-    # a finite start objective with a huge weight: base - step * direction
-    # overflowed to inf, and projecting it raised "ValueError: non-finite
-    # entries in symmetric matrix input"; such a trial is now rejected
-    # unprojected, and no finite step exists here
+    # a finite start objective and gradient with a huge weight: base - step *
+    # direction overflowed to inf, and projecting it raised "ValueError:
+    # non-finite entries in symmetric matrix input"; such a trial is now
+    # rejected unprojected, and no finite step exists here
     data, mask = noisy_staircase_8x8()
-    with np.errstate(over="ignore"):
-        with pytest.raises(LineSearchError, match="best trial inf"):
-            solve(data, mask, FunctionalParams(beta=1.7e308), objective="fc")
+    with pytest.raises(LineSearchError, match="best trial inf"):
+        solve(data, mask, FunctionalParams(beta=6e307), objective="fc")
+
+
+@pytest.mark.parametrize("objective,weight,error,message", [
+    ("fc", {"beta": 1.7e308}, OverflowError, "^gradient not finite at iteration 1 "),
+    ("f-euclidean", {"alpha": 1e307}, LineSearchError, "best trial inf"),
+    ("f-log-euclidean", {"alpha": 1e307}, LineSearchError, "best trial inf"),
+], ids=["sobolev", "euclid", "loglog"])
+def test_huge_weights_raise_solver_errors(objective, weight, error, message):
+    # the staircase of `dtfield generate --n 5 --sigma2 900 --seed 3`: numpy's
+    # overflow warnings escaped solve (errors under this suite's warning
+    # filter), and an infinite gradient was blamed on the line search
+    data = corrupt_field(make_staircase_phantom(5), NoiseSpec(900, 3))
+    with pytest.raises(error, match=message):
+        solve(data, Mask.full(5, 5), FunctionalParams(**weight), objective=objective)
+
+
+@pytest.mark.parametrize("spoil", ["value-inf", "value-nan", "grad-inf"])
+def test_non_finite_momentum_point_restarts_as_a_plain_step(spoil, monkeypatch):
+    # every iterate x was evaluated by value, a momentum point y never is; an
+    # infinite f(y) made the descent-lemma bound accept any trial from y
+    seen, events = set(), []
+    value, value_grad = Objective.value, Objective.value_grad
+
+    def recording_value(self, x):
+        seen.add(x.tobytes())
+        events.append("value")
+        return value(self, x)
+
+    def spoiled_value_grad(self, x):
+        f, g = value_grad(self, x)
+        if x.tobytes() in seen:
+            events.append("gradient at x")
+            return f, g
+        events.append("gradient at y")
+        if spoil == "grad-inf":
+            return f, np.full_like(g, np.inf)
+        return (np.inf if spoil == "value-inf" else np.nan), g
+
+    monkeypatch.setattr(Objective, "value", recording_value)
+    monkeypatch.setattr(Objective, "value_grad", spoiled_value_grad)
+    data, mask = noisy_staircase_8x8()
+    _, report = solve(data, mask, FunctionalParams(p=1.1, alpha=2.75, n_rho=3),
+                      config=SolverConfig(max_iters=20))
+    assert events.count("gradient at y") == report.restarts > 0
+    assert {after for before, after in zip(events, events[1:])
+            if before == "gradient at y"} == {"gradient at x"}
 
 
 @pytest.mark.parametrize("objective", ["f-log-euclidean", "f-euclidean", "fc"])

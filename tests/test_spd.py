@@ -33,9 +33,7 @@ from dtfield.spd import (
     matrices_to_coeffs,
     project_full,
     project_full_coeffs,
-    project_log_ball,
     project_log_coeffs,
-    project_spec,
     weighted_norm_sq,
     _COLS,
     _ROWS,
@@ -461,81 +459,31 @@ def test_dist_ai_symmetry():
 
 # ---- projections ----
 
-def test_project_spec_no_op_inside():
-    p = project_spec(np.diag([2.0, 3.0, 4.0]), EPSILON_DEFAULT)
-    assert np.allclose(p.matrix, np.diag([2.0, 3.0, 4.0]), rtol=1e-14)
-
-
-def test_project_spec_clamps_diagonal():
-    p = project_spec(np.diag([-1.0, 2.0, 3.0]), 0.5)
-    assert np.allclose(np.sort(np.diag(p.matrix)), [0.5, 2.0, 3.0], rtol=1e-14)
-    assert np.abs(p.matrix - np.diag(np.diag(p.matrix))).max() < 1e-14
-
-
-def test_project_spec_validates_bounds():
-    with pytest.raises(ValueError):
-        project_spec(np.eye(3), 0.0)
-    with pytest.raises(ValueError):
-        project_spec(np.eye(3), 1.0, 0.5)
-
-
-def test_project_spec_symmetrizes_first():
-    m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-    p = project_spec(m, 1e-8)
-    sym = 0.5 * (m + m.T)
-    vals, vecs = np.linalg.eigh(sym)
-    expect = (vecs * np.maximum(vals, 1e-8)) @ vecs.T
-    assert np.abs(p.matrix - expect).max() < 1e-12
-
-
-def test_project_spec_optimality_against_sampled_points():
-    # the projection must beat thousands of random members of the target set
-    rng = np.random.default_rng(19)
-    m = random_symmat(rng, scale=2.0).matrix
-    lo, hi = 0.5, 4.0
-    p = project_spec(m, lo, hi)
-    d_proj = np.sqrt(((m - p.matrix) ** 2).sum())
-    for _ in range(2000):
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        lam = rng.uniform(lo, hi, 3)
-        x = (q * lam) @ q.T
-        d_x = np.sqrt(((m - x) ** 2).sum())
-        assert d_proj <= d_x + 1e-12
-
-
 @pytest.mark.parametrize("call,message", [
     (lambda: SymMat.from_matrix(np.diag([1.0, np.nan, 1.0])), "non-finite entries"),
     (lambda: SymMat.from_matrix(np.diag([1.0, 1.0, np.inf])), "non-finite entries"),
-    (lambda: project_log_ball(mat_exp(SymMat(np.zeros(6))), 0.0), "z must be > 0, got 0.0"),
-    (lambda: project_log_ball(mat_exp(SymMat(np.zeros(6))), -1.0), "z must be > 0, got -1.0"),
-], ids=["from-matrix-nan", "from-matrix-inf", "log-ball-z-0", "log-ball-z-negative"])
+], ids=["from-matrix-nan", "from-matrix-inf"])
 def test_scalar_api_rejects_malformed_input(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
-def test_project_log_ball_inside_is_identity():
-    rng = np.random.default_rng(20)
-    a = spd_in_log_ball(rng, 3.0)
-    assert project_log_ball(a, 36.0) is a
-
-
-def test_project_log_ball_analytic_diagonal():
+def test_project_full_analytic_diagonal():
     a = SpdTensor(SymMat(np.array([np.exp(40.0), 1.0, 1.0, 0, 0, 0])), 40.0)
-    p = project_log_ball(a, 36.0)
+    p = project_full(a, EPSILON_DEFAULT, 36.0)
     assert abs(p.matrix[0, 0] - np.exp(36.0)) / np.exp(36.0) < 1e-12
     assert np.allclose(np.diag(p.matrix)[1:], 1.0, atol=1e-12)
 
 
-def test_project_log_ball_lands_on_sphere():
+def test_project_full_lands_on_sphere():
     rng = np.random.default_rng(21)
     for _ in range(50):
         s = random_symmat(rng)
         s = SymMat(s.coeffs * (rng.uniform(37.0, 80.0) / frobenius(s)))
         a = mat_exp(s)
-        p = project_log_ball(a, 36.0)
+        p = project_full(a, EPSILON_DEFAULT, 36.0)
         assert abs(frobenius(mat_log(p)) - 36.0) < 1e-9
-        again = project_log_ball(p, 36.0)
+        again = project_full(p, EPSILON_DEFAULT, 36.0)
         assert np.abs(again.matrix - p.matrix).max() <= 1e-12 * np.abs(p.matrix).max()
 
 

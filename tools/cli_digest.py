@@ -15,7 +15,11 @@ same bytes, print the same text and exit alike.
 
 The matrix: README's quick start (generate, the loglog denoise, evaluate,
 render, and inpaint with the central 4x4 hole); euclid and sobolev denoises;
-a denoise at --epsilon 1e-3; a re-solve from rec.dtf; the 64x64
+a denoise at --epsilon 1e-3; a re-solve from rec.dtf; an alpha sweep with
+an explicit --report path; a denoise from a --config file (solve.cfg, with
+a flag overriding one of its keys); an all-pairs (--l 0) denoise of a 6x6
+generate; the three huge-weight denoises of a 5x5 generate (sigma2 900,
+seed 3), which exit 3 with one error line; the 64x64
 generate -> denoise -> evaluate --profile-out pipeline of perfbench's cli-64
 at seeds 0, 1 and 3; and that generate at seed 2, which exits 2 because a
 noisy fit breaks the log-bound.  Standard library only; not part of the
@@ -34,6 +38,8 @@ import tempfile
 HOLE = "MSK1 10 10\n" + "".join(
     "".join("0" if 3 <= i <= 6 and 3 <= j <= 6 else "1" for j in range(10)) + "\n"
     for i in range(10))
+# a --config file: a comment, quoted and commented values; --iters overrides it
+CONFIG = "# solve settings\nalpha = 0.5\nnrho = \"2\"\niters = 60  # overridden\n"
 
 MATRIX = [
     "generate --phantom staircase --n 10 --sigma2 1600 --seed 0 --out data --write-dwis",
@@ -48,6 +54,14 @@ MATRIX = [
     "denoise data/noisy.dtf --objective sobolev --iters 40 --out sobolev.dtf",
     "denoise data/noisy.dtf --epsilon 1e-3 --alpha 2.75 --iters 40 --out eps.dtf",
     "denoise rec.dtf --alpha 2.75 --iters 40 --out resolved.dtf",
+    "denoise data/noisy.dtf --sweep alpha=0.5,2 --iters 40 --report sweep.json --out sweep.dtf",
+    "denoise data/noisy.dtf --config solve.cfg --iters 30 --out config.dtf",
+    "generate --phantom staircase --n 6 --sigma2 1600 --seed 0 --out g6",
+    "denoise g6/noisy.dtf --l 0 --iters 40 --out g6/rec.dtf",
+    "generate --phantom staircase --n 5 --sigma2 900 --seed 3 --out g5",
+    "denoise g5/noisy.dtf --objective sobolev --beta 1.7e308 --out g5/sobolev.dtf",
+    "denoise g5/noisy.dtf --objective euclid --alpha 1e307 --out g5/euclid.dtf",
+    "denoise g5/noisy.dtf --alpha 1e307 --out g5/loglog.dtf",
 ]
 for _seed in (0, 1, 3, 2):
     MATRIX.append(f"generate --phantom staircase --n 64 --sigma2 1600 --seed {_seed}"
@@ -70,8 +84,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as work:
-        with open(os.path.join(work, "hole.msk"), "w", encoding="ascii") as fh:
-            fh.write(HOLE)
+        for name, text in (("hole.msk", HOLE), ("solve.cfg", CONFIG)):
+            with open(os.path.join(work, name), "w", encoding="ascii") as fh:
+                fh.write(text)
         for command in MATRIX:
             run = subprocess.run([sys.executable, "-m", "dtfield.cli", *command.split()],
                                  cwd=work, env=env, capture_output=True)
