@@ -7,8 +7,9 @@ full flag set; reports written by solve commands carry a fixed
 "seconds": 0.0 so reruns are byte-identical.
 
 Parameter flags may also come from a --config file of `key = value` lines
-(same key names as the flags, # comments allowed); explicit flags override
-file values, and unknown keys are rejected.
+(same key names as the flags, # comments allowed).  Its values become the
+subcommand's defaults, so they are converted and checked exactly like flags;
+explicit flags override them, and unknown keys are rejected.
 
 main returns the exit code, argparse's included: 0 success or --help, 2 usage or
 validation error, 3 runtime failure.
@@ -19,13 +20,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from typing import Callable
 
 from .analysis import column_eigen_profile, render_svg, snr
 from .field import FunctionalParams, Mask
 from .optim import SolverConfig, solve
-from .fileio import _write, read_field, read_mask, write_dwis, write_field
+from .fileio import _read, _write, read_field, read_mask, write_dwis, write_field
 from .spd import EPSILON_DEFAULT, LOG_BOUND_DEFAULT
 from .synth import (
     A0_DEFAULT,
@@ -53,62 +54,57 @@ _OBJECTIVES = {
 def _choice(*names: str) -> Callable[[str], str]:
     def convert(text: str) -> str:
         if text not in names:
-            raise ValueError(f"expected one of {', '.join(names)}; got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(names)}; got {text!r}")
         return text
     return convert
 
 
 def _threads(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise ValueError(f"threads must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {value}")
     return value
 
 
-@dataclass(frozen=True)
-class Opt:
-    """One config-file-eligible parameter: flag name, converter, default."""
-
-    name: str
-    convert: Callable[[str], object]
-    default: object
-    help: str
-
-
+# (flag, dest, converter, default, help): the solve dests besides objective are
+# FunctionalParams and SolverConfig fields, the generate dests provenance.json keys
 _GENERATE_OPTS = [
-    Opt("phantom", _choice(*_PHANTOMS), "staircase", "phantom family"),
-    Opt("n", int, 10, "grid side length"),
-    Opt("sigma2", float, 0.0, "Rician noise variance in signal units"),
-    Opt("seed", int, 0, "noise random seed"),
-    Opt("b", float, B_VALUE_DEFAULT, "diffusion weighting b-value"),
-    Opt("a0", float, A0_DEFAULT, "unweighted reference signal"),
-    Opt("z", float, LOG_BOUND_DEFAULT, "log-norm bound of the fitted tensors"),
-    Opt("epsilon", float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
-    Opt("threads", _threads, 1, "no effect; accepted and recorded in provenance.json"),
+    ("phantom", "phantom", _choice(*_PHANTOMS), "staircase", "phantom family"),
+    ("n", "n", int, 10, "grid side length"),
+    ("sigma2", "sigma2", float, 0.0, "Rician noise variance in signal units"),
+    ("seed", "seed", int, 0, "noise random seed"),
+    ("b", "b", float, B_VALUE_DEFAULT, "diffusion weighting b-value"),
+    ("a0", "a0", float, A0_DEFAULT, "unweighted reference signal"),
+    ("z", "z", float, LOG_BOUND_DEFAULT, "log-norm bound of the fitted tensors"),
+    ("epsilon", "epsilon", float, EPSILON_DEFAULT, "eigenvalue floor of the projection"),
+    ("threads", "threads", _threads, 1, "no effect; accepted and recorded in provenance.json"),
 ]
 
 _SOLVE_OPTS = [
-    Opt("objective", _choice(*_OBJECTIVES), "loglog",
-        "objective: loglog (metric), euclid, or sobolev"),
-    Opt("p", float, FunctionalParams.p, "fidelity/regularity exponent"),
-    Opt("s", float, FunctionalParams.s, "fractional smoothness order"),
-    Opt("alpha", float, FunctionalParams.alpha, "metric double-integral weight"),
-    Opt("beta", float, FunctionalParams.beta, "Sobolev comparison weight"),
-    Opt("l", int, FunctionalParams.l, "1 = mollifier window, 0 = all pixel pairs"),
-    Opt("nrho", int, FunctionalParams.n_rho, "mollifier radius in pixels"),
-    Opt("z", float, FunctionalParams.z, "log-norm bound of the feasible set"),
-    Opt("epsilon", float, FunctionalParams.epsilon, "eigenvalue floor of the projection"),
-    Opt("iters", int, SolverConfig.max_iters, "maximum gradient iterations"),
-    Opt("init-step", float, SolverConfig.init_step,
-        "fresh line searches (the first, and one before a run stops) start at 2 x init-step"),
-    Opt("rel-tol", float, SolverConfig.rel_tol, "relative decrease stopping tolerance"),
+    ("objective", "objective", _choice(*_OBJECTIVES), "loglog",
+     "objective: loglog (metric), euclid, or sobolev"),
+    ("p", "p", float, FunctionalParams.p, "fidelity/regularity exponent"),
+    ("s", "s", float, FunctionalParams.s, "fractional smoothness order"),
+    ("alpha", "alpha", float, FunctionalParams.alpha, "metric double-integral weight"),
+    ("beta", "beta", float, FunctionalParams.beta, "Sobolev comparison weight"),
+    ("l", "l", int, FunctionalParams.l, "1 = mollifier window, 0 = all pixel pairs"),
+    ("nrho", "n_rho", int, FunctionalParams.n_rho, "mollifier radius in pixels"),
+    ("z", "z", float, FunctionalParams.z, "log-norm bound of the feasible set"),
+    ("epsilon", "epsilon", float, FunctionalParams.epsilon, "eigenvalue floor of the projection"),
+    ("iters", "max_iters", int, SolverConfig.max_iters, "maximum gradient iterations"),
+    ("init-step", "init_step", float, SolverConfig.init_step,
+     "fresh line searches (the first, and one before a run stops) start at 2 x init-step"),
+    ("rel-tol", "rel_tol", float, SolverConfig.rel_tol, "relative decrease stopping tolerance"),
 ]
 
 
-def _add_opts(parser: argparse.ArgumentParser, opts: list[Opt]):
-    for opt in opts:
-        parser.add_argument(f"--{opt.name}", metavar="V", default=None,
-                            help=f"{opt.help} (default: {opt.default})")
+def _add_opts(parser: argparse.ArgumentParser, opts: list[tuple]):
+    for flag, dest, convert, default, text in opts:
+        parser.add_argument(f"--{flag}", dest=dest, type=convert, default=default,
+                            metavar="V", help=f"{text} (default: {default})")
 
 
 def _parse_config_text(text: str, path: str) -> dict[str, str]:
@@ -126,45 +122,28 @@ def _parse_config_text(text: str, path: str) -> dict[str, str]:
     return entries
 
 
-def _resolve(opts: list[Opt], args: argparse.Namespace) -> dict[str, object]:
-    """Merge flags over config-file entries over defaults; reject unknown keys."""
+def _set_config_defaults(args: argparse.Namespace):
+    """Make the --config file's entries the subcommand's defaults; reject unknown keys.
+
+    argparse converts a string default with the flag's type, so a file value
+    is checked exactly like the flag, and an explicit flag still overrides it.
+    """
     parser = args.parser
-    entries: dict[str, str] = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="ascii") as fh:
-            text = fh.read()
-        try:
-            entries = _parse_config_text(text, args.config)
-        except ValueError as exc:
-            parser.error(str(exc))
-        unknown = set(entries) - {opt.name for opt in opts}
-        if unknown:
-            parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    values: dict[str, object] = {}
-    for opt in opts:
-        raw = getattr(args, opt.name.replace("-", "_"))
-        if raw is None:
-            raw = entries.get(opt.name)
-        if raw is None:
-            values[opt.name] = opt.default
-            continue
-        try:
-            values[opt.name] = opt.convert(raw)
-        except ValueError as exc:
-            parser.error(f"--{opt.name}: {exc}")
-    return values
+    text = _read(args.config)
+    try:
+        entries = _parse_config_text(text, args.config)
+    except ValueError as exc:
+        parser.error(str(exc))
+    dests = {flag: dest for flag, dest, *_ in
+             (_GENERATE_OPTS if args.command == "generate" else _SOLVE_OPTS)}
+    unknown = set(entries) - set(dests)
+    if unknown:
+        parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    parser.set_defaults(**{dests[key]: value for key, value in entries.items()})
 
 
-def _functional_params(values: dict[str, object]) -> FunctionalParams:
-    return FunctionalParams(p=values["p"], s=values["s"], alpha=values["alpha"],
-                            beta=values["beta"], l=values["l"],
-                            n_rho=values["nrho"], z=values["z"],
-                            epsilon=values["epsilon"])
-
-
-def _solver_config(values: dict[str, object]) -> SolverConfig:
-    return SolverConfig(max_iters=values["iters"], init_step=values["init-step"],
-                        rel_tol=values["rel-tol"])
+def _from_args(cls, args: argparse.Namespace):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _write_json(obj, path: str):
@@ -174,11 +153,10 @@ def _write_json(obj, path: str):
 # ---- commands ----
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    values = _resolve(_GENERATE_OPTS, args)
-    phantom = _PHANTOMS[values["phantom"]](values["n"])
-    spec = NoiseSpec(values["sigma2"], values["seed"])
-    dwis = apply_noise(simulate_dwis(phantom, values["b"], values["a0"]), spec)
-    noisy = fit_field(dwis, values["epsilon"], values["z"])
+    phantom = _PHANTOMS[args.phantom](args.n)
+    spec = NoiseSpec(args.sigma2, args.seed)
+    dwis = apply_noise(simulate_dwis(phantom, args.b, args.a0), spec)
+    noisy = fit_field(dwis, args.epsilon, args.z)
     os.makedirs(args.out, exist_ok=True)
     write_field(phantom, os.path.join(args.out, "original.dtf"))
     write_field(noisy, os.path.join(args.out, "noisy.dtf"))
@@ -186,8 +164,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.write_dwis:
         write_dwis(dwis, os.path.join(args.out, "dwis.dwi"))
         names.append("dwis.dwi")
-    _write_json({"command": "generate", **values},
-                os.path.join(args.out, "provenance.json"))
+    provenance = {dest: getattr(args, dest) for _, dest, *_ in _GENERATE_OPTS}
+    _write_json({"command": "generate", **provenance}, os.path.join(args.out, "provenance.json"))
     names.append("provenance.json")
     print(f"wrote {', '.join(names)} in {args.out}")
     return 0
@@ -212,14 +190,13 @@ def _suffixed(path: str, token: str) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    values = _resolve(_SOLVE_OPTS, args)
     data = read_field(args.input)
     if args.masked:
         mask = read_mask(args.mask)
     else:
         mask = Mask.full(data.height, data.width)
-    params = _functional_params(values)
-    config = _solver_config(values)
+    params = _from_args(FunctionalParams, args)
+    config = _from_args(SolverConfig, args)
     if args.sweep is None:
         runs = [(None, params)]
     else:
@@ -231,7 +208,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report_path = f"{out_path}.report.json" if default_report else (
             args.report if token is None else _suffixed(args.report, token))
         rec, report = solve(data, mask, run_params,
-                            objective=_OBJECTIVES[values["objective"]], config=config)
+                            objective=_OBJECTIVES[args.objective], config=config)
         write_field(rec, out_path)
         _write_json({**report.to_json_dict(), "seconds": 0.0}, report_path)
         label = "" if token is None else f"alpha={token}: "
@@ -311,11 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            _set_config_defaults(args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
         return exc.code
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, RuntimeError, OSError) as exc:  # LineSearchError is a RuntimeError

@@ -87,6 +87,18 @@ def test_epsilon_floor_outside_log_ball_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_generate_out_naming_a_file_exits_2(tmp_path, capsys):
+    # os.makedirs raises FileExistsError, an OSError that used to exit 3
+    target = tmp_path / "afile"
+    target.write_text("keep\n")
+    code, stdout, err = run(capsys, "generate", "--n", "4", "--out", str(target))
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert target.read_text() == "keep\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+
+
 def test_generate_zero_noise_roundtrips(tmp_path, capsys):
     code, _, _ = run(capsys, "generate", "--n", "4", "--sigma2", "0",
                      "--out", str(tmp_path))
@@ -181,7 +193,7 @@ def test_advertised_solve_defaults_match_omitted_flags(tmp_path, capsys):
     assert code == 0
     help_text = " ".join(stdout.split())
     defaults = re.findall(r"--([\w-]+) V .*?\(default: ([^)]+)\)", help_text)
-    assert {name for name, _ in defaults} == {opt.name for opt in _SOLVE_OPTS}
+    assert {name for name, _ in defaults} == {flag for flag, *_ in _SOLVE_OPTS}
     data = generate(capsys, tmp_path)
     explicit = [arg for name, value in defaults for arg in (f"--{name}", value)]
     for name, extra in (("implicit", []), ("explicit", explicit)):
@@ -353,6 +365,28 @@ def test_config_malformed_line_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(tmp_path / "g"))
     assert code == 2
     assert "expected 'key = value'" in err
+
+
+@pytest.mark.parametrize("command,line,message", [
+    ("generate", "phantom = helix", "--phantom:"),
+    ("generate", "n = x", "--n:"),
+    ("generate", "threads = 0", "--threads:"),
+    ("denoise", "objective = bogus", "--objective:"),
+    ("denoise", "iters = 1.5", "--iters:"),
+    ("denoise", "alpha = nan", "alpha must be finite"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, line, message):
+    inputs = []
+    if command == "denoise":
+        inputs = [str(generate(capsys, tmp_path / "data") / "noisy.dtf")]
+    config = tmp_path / "run.conf"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, *inputs, "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert message in err.splitlines()[-1]
+    assert not out.exists()
 
 
 def test_sweep_writes_one_output_per_value(tmp_path, capsys):

@@ -22,8 +22,11 @@ generate; the three huge-weight denoises of a 5x5 generate (sigma2 900,
 seed 3), which exit 3 with one error line; the 64x64
 generate -> denoise -> evaluate --profile-out pipeline of perfbench's cli-64
 at seeds 0, 1 and 3; and that generate at seed 2, which exits 2 because a
-noisy fit breaks the log-bound.  Standard library only; not part of the
-test suite.
+noisy fit breaks the log-bound.  Then the usage errors, each exiting 2:
+generate with --n x, --phantom helix and --threads 0; generate from a
+--config file (bad.cfg) holding phantom = helix; a denoise of the 6x6 data
+with --objective bogus; and generate with --out naming the existing file
+hole.msk.  Standard library only; not part of the test suite.
 """
 from __future__ import annotations
 
@@ -40,6 +43,8 @@ HOLE = "MSK1 10 10\n" + "".join(
     for i in range(10))
 # a --config file: a comment, quoted and commented values; --iters overrides it
 CONFIG = "# solve settings\nalpha = 0.5\nnrho = \"2\"\niters = 60  # overridden\n"
+# a --config file whose value fails the flag's own check
+BAD_CONFIG = "phantom = helix\n"
 
 MATRIX = [
     "generate --phantom staircase --n 10 --sigma2 1600 --seed 0 --out data --write-dwis",
@@ -71,6 +76,14 @@ for _seed in (0, 1, 3, 2):
                    f" --out g64-{_seed}/rec.dtf",
                    f"evaluate g64-{_seed}/original.dtf g64-{_seed}/rec.dtf"
                    f" --profile-out g64-{_seed}/profile.csv"]
+MATRIX += [
+    "generate --n x",
+    "generate --phantom helix",
+    "generate --threads 0",
+    "generate --config bad.cfg --out bad",
+    "denoise g6/noisy.dtf --objective bogus --out g6/bogus.dtf",
+    "generate --n 4 --out hole.msk",
+]
 
 
 def sha256(data: bytes) -> str:
@@ -84,7 +97,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as work:
-        for name, text in (("hole.msk", HOLE), ("solve.cfg", CONFIG)):
+        for name, text in (("hole.msk", HOLE), ("solve.cfg", CONFIG), ("bad.cfg", BAD_CONFIG)):
             with open(os.path.join(work, name), "w", encoding="ascii") as fh:
                 fh.write(text)
         for command in MATRIX:
