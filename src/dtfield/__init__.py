@@ -10,7 +10,7 @@ The top level re-exports the end-to-end workflow: build a phantom, corrupt
 it through the diffusion-weighted measurement model, solve, and evaluate.
 The submodules hold the full API:
 
-  spd       scalar and batched SPD matrix kernels (exp/log, metric,
+  spd       SPD matrix kernels on (..., 6) coefficient arrays (exp/log,
             projections, eigendecomposition)
   field     tensor fields, masks, objective functionals and their pieces
   optim     projected gradient descent with backtracking line search
@@ -40,18 +40,8 @@ from .fileio import (
     write_field,
     write_mask,
 )
-from .optim import LineSearchError, SolveReport, SolverConfig, default_init, solve
-from .spd import (
-    EPSILON_DEFAULT,
-    LOG_BOUND_DEFAULT,
-    NotPositiveDefiniteError,
-    SpdTensor,
-    SymMat,
-    dist_log_euclidean,
-    mat_exp,
-    mat_log,
-    project_full,
-)
+from .optim import LineSearchError, SolveReport, SolverConfig, solve
+from .spd import EPSILON_DEFAULT, LOG_BOUND_DEFAULT, NotPositiveDefiniteError
 from .synth import (
     DwiSet,
     NoiseSpec,
@@ -77,22 +67,15 @@ __all__ = [
     "NotPositiveDefiniteError",
     "SolveReport",
     "SolverConfig",
-    "SpdTensor",
-    "SymMat",
     "TensorField",
     "apply_noise",
     "column_eigen_profile",
     "convergence_study",
     "corrupt_field",
-    "default_init",
-    "dist_log_euclidean",
     "fit_field",
     "log_distance_map",
     "make_main_direction_phantom",
     "make_staircase_phantom",
-    "mat_exp",
-    "mat_log",
-    "project_full",
     "read_dwis",
     "read_field",
     "read_mask",

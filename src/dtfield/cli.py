@@ -12,11 +12,12 @@ subcommand's defaults, so they are converted and checked exactly like flags;
 explicit flags override them, and unknown keys are rejected.
 
 main returns the exit code, argparse's included: 0 success or --help, 2 usage or
-validation error, 3 runtime failure.
+validation error (output paths are checked before any work), 3 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -150,9 +151,31 @@ def _write_json(obj, path: str):
     _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _check_out_dir(path: str):
+    """Raise, creating nothing, what os.makedirs(path, exist_ok=True) raises on a non-dir."""
+    missing = None
+    while path and not os.path.lexists(path.rstrip(os.sep) or path):
+        missing, path = path, os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        if missing is None:
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
+
+
+def _check_out_file(path: str):
+    """Raise, creating nothing, what open(path, "w") raises on a dir or a bad parent."""
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
 # ---- commands ----
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     phantom = _PHANTOMS[args.phantom](args.n)
     spec = NoiseSpec(args.sigma2, args.seed)
     dwis = apply_noise(simulate_dwis(phantom, args.b, args.a0), spec)
@@ -197,16 +220,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         mask = Mask.full(data.height, data.width)
     params = _from_args(FunctionalParams, args)
     config = _from_args(SolverConfig, args)
-    if args.sweep is None:
-        runs = [(None, params)]
-    else:
-        runs = [(tok, replace(params, alpha=float(tok)))
-                for tok in _parse_sweep(args.sweep, args.parser)]
-    default_report = args.report is None
-    for token, run_params in runs:
+    runs = []
+    for token in [None] if args.sweep is None else _parse_sweep(args.sweep, args.parser):
         out_path = args.out if token is None else _suffixed(args.out, token)
-        report_path = f"{out_path}.report.json" if default_report else (
+        report_path = f"{out_path}.report.json" if args.report is None else (
             args.report if token is None else _suffixed(args.report, token))
+        runs.append((token, params if token is None else replace(params, alpha=float(token)),
+                     out_path, report_path))
+    for *_, out_path, report_path in runs:  # every output path, before any solve
+        _check_out_file(out_path)
+        _check_out_file(report_path)
+    for token, run_params, out_path, report_path in runs:
         rec, report = solve(data, mask, run_params,
                             objective=_OBJECTIVES[args.objective], config=config)
         write_field(rec, out_path)

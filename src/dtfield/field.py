@@ -26,12 +26,8 @@ import numpy as np
 from .spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
-    EigenPair,
-    SpdTensor,
-    SymMat,
     _W3,
     _check_floor_in_ball,
-    _log_norm,
     eigh_coeffs,
     exp_coeffs,
     log_coeffs,
@@ -75,7 +71,8 @@ class TensorField:
                 f"pixel (row {bad[0]}, col {bad[1]}) is not positive definite "
                 f"(min eigenvalue {vals[..., -1].min():g}); project the field first"
             )
-        lognorms = _log_norm(vals)
+        logs = np.log(vals)  # every eigenvalue is > 0, checked above
+        lognorms = np.sqrt((logs * logs).sum(axis=-1))
         if lognorms.max() > bound + _BOUND_SLACK:
             bad = np.unravel_index(int(np.argmax(lognorms)), coeffs.shape[:2])
             raise ValueError(
@@ -93,11 +90,6 @@ class TensorField:
     @property
     def width(self) -> int:
         return self.coeffs.shape[1]
-
-    def tensor_at(self, row: int, col: int) -> SpdTensor:
-        mat = SymMat(self.coeffs[row, col])
-        eig = EigenPair(*eigh_coeffs(mat.coeffs))
-        return SpdTensor(mat, max(self.log_bound, float(_log_norm(eig.values))), eig=eig)
 
 
 def _grid_coeffs(w) -> np.ndarray:
@@ -379,9 +371,9 @@ class Objective:
             self.offsets = []
 
     def start(self, init: TensorField | None = None) -> np.ndarray:
-        """Feasible start coordinates, project(_field_rep(init)).  None starts
-        where optim.default_init does (the data, masked-out pixels at
-        project_full(0)), built from the target: the data is not decomposed again."""
+        """Feasible start coordinates, project(_field_rep(init)).  None starts at
+        the floor-seeded data: the target, with every masked-out pixel at
+        project_full_coeffs(0), so the data is not decomposed again."""
         if init is None:
             x = self.target.copy()
             floor = project_full_coeffs(np.zeros(6), self.params.epsilon, self.params.z)
@@ -476,7 +468,7 @@ def functional_FC(w: TensorField, data: TensorField, mask,
 
 def from_log_coords(log_field: np.ndarray, z: float = LOG_BOUND_DEFAULT,
                     epsilon: float = EPSILON_DEFAULT) -> TensorField:
-    """Field of project_full(Exp(L)) for a (height, width, 6) log array.
+    """Field of project_full_coeffs(exp_coeffs(L)) for a (height, width, 6) log array.
 
     Logs inside the radius-z ball map straight through Exp; the rest are
     projected (eigenvalue floor epsilon, then log-ball rescale) first, which

@@ -44,8 +44,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .field import FunctionalParams, Objective, TensorField, _mask_values
-from .spd import _W3, project_full_coeffs, weighted_norm_sq
+from .field import FunctionalParams, Objective, TensorField
+from .spd import _W3, weighted_norm_sq
 
 
 _MAX_BACKTRACKS = 60
@@ -131,14 +131,6 @@ class SolveReport:
         return asdict(self)
 
 
-def default_init(data: TensorField, mask, params: FunctionalParams) -> TensorField:
-    """Observed data with every masked-out pixel replaced by project_full(0)."""
-    mask_values = _mask_values(mask, (data.height, data.width))
-    coeffs = data.coeffs.copy()
-    coeffs[~mask_values] = project_full_coeffs(np.zeros(6), params.epsilon, params.z)
-    return TensorField(coeffs, max(data.log_bound, params.z))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing trial is a rejected rung
 def solve(data: TensorField, mask, params: FunctionalParams,
           objective: str = "f-log-euclidean",
@@ -152,8 +144,8 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     in log coordinates restart to such plain steps.  All three ladders
     (momentum, warm plain, fresh plain) are one backtracking loop with its own
     acceptance rule.  The returned trajectory starts at the initial objective
-    and is non-increasing.  Without init the solve starts from
-    default_init(data, mask, params), through Objective.start.  Overflow
+    and is non-increasing.  Without init the solve starts at Objective.start():
+    the data, with every masked-out pixel at project_full_coeffs(0).  Overflow
     never warns: a start objective or a gradient at x that is not finite
     raises OverflowError, and a trial that overflows is rejected.
     """

@@ -1,10 +1,11 @@
-"""Symmetric-matrix kernel: eigendecomposition, exp/log, metrics, the SPD projection.
+"""Symmetric-matrix kernels: eigendecomposition, exp/log and the SPD projections.
 
 Every tensor is a real symmetric 3x3 matrix stored as its six independent
 coefficients [a11, a22, a33, a12, a13, a23]: the diagonal, then the upper
-triangle row-major (the constants _ROWS, _COLS and _W3).  Frobenius norms are
-taken over the full matrix, so off-diagonal coefficients carry weight 2 in
-every inner product.
+triangle row-major (the constants _ROWS, _COLS and _W3).  Every *_coeffs kernel
+takes a (..., 6) coefficient array, a single (6,) tensor included.  Frobenius norms
+are taken over the full matrix, so off-diagonal coefficients carry weight 2
+in every inner product (weighted_norm_sq).
 
 Eigendecompositions use batched cyclic Jacobi rotations of 3x3 matrices, each
 of which updates only the six independent entries: pivot order (0,1), (0,2),
@@ -14,21 +15,15 @@ SPD matrices accurate to their own scale, and as a product of square roots it
 cannot overflow.  The rotations keep the eigenvector basis orthogonal to
 machine precision, and identical input yields identical output bytes.
 
-eigh_coeffs is the one entry to the eigensolver, for the scalar
-SymMat/SpdTensor API and the batched (..., 6) kernels alike.  The two APIs
-differ only in the eigendecomposition that an SpdTensor carries, and share
-one private helper per spectral map: _exp_values and _log_values (with the
-overflow and positive-definiteness checks), _into_ball (the log-ball
-rescale), _project_values (np.clip floor, then rescale), _log_norm,
-_coeffs_from_eig, and _exp_eig for the decomposition that exp follows.
-project_full (floor at epsilon, then ||Log||_F <= z) is the scalar API's one
-projection.  The solver calls its batched twins: project_full_coeffs, which
-decomposes only the elements that a certificate cannot prove feasible, and
-project_log_coeffs in log coordinates.  All three reject a floor outside the z ball.
+eigh_coeffs is the one entry to the eigensolver.  exp_coeffs and log_coeffs
+map the spectrum through _exp_values and _log_values (with the overflow and
+positive-definiteness checks).  project_full_coeffs (floor at epsilon, then
+||Log||_F <= z: _project_values) decomposes only the elements that a
+certificate cannot prove feasible; project_log_coeffs is its twin in log
+coordinates.  Both reject an epsilon or z that is not > 0 and a floor outside
+the z ball (_check_floor_in_ball).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +45,11 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def _check_floor_in_ball(epsilon: float, z: float):
-    """Reject an epsilon > 1 whose floor forces ||Log||_F >= sqrt(3) log(epsilon) > z;
-    compared in log form, so that no exponential can overflow."""
+    """Reject an epsilon or z that is not > 0, and an epsilon > 1 whose floor forces
+    ||Log||_F >= sqrt(3) log(epsilon) > z (compared in log form, so that no
+    exponential can overflow)."""
+    if not (epsilon > 0.0 and z > 0.0):
+        raise ValueError(f"epsilon and z must be > 0, got {epsilon:g} and {z:g}")
     if epsilon > 1.0 and np.sqrt(3.0) * np.log(epsilon) > z:
         raise ValueError(f"epsilon = {epsilon:g} leaves no feasible tensor: its floor forces "
                          f"||Log||_F >= sqrt(3) log(epsilon) > z = {z:g}")
@@ -180,7 +178,7 @@ def assemble_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
-# ---- spectral maps on (..., 3) eigenvalue arrays, shared by both APIs ----
+# ---- spectral maps on (..., 3) eigenvalue arrays, shared by the kernels ----
 
 def _coeffs_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """(..., n_coeffs) coefficients of V diag(values) V^T."""
@@ -190,7 +188,7 @@ def _coeffs_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _exp_values(vals: np.ndarray) -> np.ndarray:
     """exp of eigenvalues; OverflowError where the result would overflow."""
     if vals.size and vals.max() > _MAX_EXP_EIGENVALUE:
-        raise OverflowError(f"mat_exp overflow: eigenvalue {vals.max():g} exceeds "
+        raise OverflowError(f"exp_coeffs overflow: eigenvalue {vals.max():g} exceeds "
                             f"{_MAX_EXP_EIGENVALUE:g}")
     return np.exp(vals)
 
@@ -215,185 +213,9 @@ def _project_values(vals: np.ndarray, epsilon: float, z: float) -> np.ndarray:
     return _exp_values(_into_ball(_log_values(np.clip(vals, epsilon, None)), z))
 
 
-def _log_norm(vals: np.ndarray, what: str = "log-norm") -> np.ndarray:
-    """||Log||_F from (..., 3) eigenvalues, one per row."""
-    logs = _log_values(vals, what)
-    return np.sqrt((logs * logs).sum(axis=-1))
-
-
-def _exp_eig(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of Exp of (..., 6) coefficients, for mat_exp and exp_coeffs."""
-    vals, vecs = eigh_coeffs(coeffs)
-    return _exp_values(vals), vecs
-
-
-@dataclass(frozen=True, eq=False)
-class SymMat:
-    """A real symmetric 3x3 matrix stored by its six independent coefficients."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=np.float64).reshape(-1)
-        if coeffs.shape != (6,):
-            raise ValueError(f"expected 6 coefficients, got {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("non-finite coefficients")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, tol: float = 1e-9) -> "SymMat":
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("non-finite entries")
-        asym = np.abs(mat - mat.T).max()
-        if asym > tol * max(1.0, np.abs(mat).max()):
-            raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
-        return cls(matrices_to_coeffs(mat))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return coeffs_to_matrices(self.coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        vectors = np.array(self.vectors, dtype=np.float64)
-        if values.shape != (3,) or vectors.shape != (3, 3):
-            raise ValueError(f"eigenpair shapes {values.shape} / {vectors.shape}, not 3x3")
-        values.flags.writeable = vectors.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
-
-
-@dataclass(frozen=True, eq=False)
-class SpdTensor:
-    """A symmetric positive definite matrix with a certified log-norm bound.
-
-    The certificate is ||Log(mat)||_F <= certified_log_bound, which confines
-    the eigenvalues to [exp(-bound), exp(bound)].
-
-    Operations that construct the matrix from a known eigendecomposition
-    (mat_exp, project_full, geodesic) attach that decomposition as `eig`;
-    mat_log and friends reuse it.  Carrying the shared eigenbasis is what
-    makes exp and log exact inverses even for extreme eigenvalue spreads,
-    where a reassembled float64 matrix alone no longer determines its
-    smallest eigenvalues to relative precision.
-    """
-
-    mat: SymMat
-    certified_log_bound: float
-    eig: EigenPair | None = None
-
-    def __post_init__(self):
-        bound = float(self.certified_log_bound)
-        if not np.isfinite(bound) or bound < 0.0:
-            raise ValueError(f"certified_log_bound must be finite and >= 0, got {bound}")
-        object.__setattr__(self, "certified_log_bound", bound)
-        if self.eig is None:
-            object.__setattr__(self, "eig", EigenPair(*eigh_coeffs(self.mat.coeffs)))
-        else:
-            residual = assemble_from_eig(self.eig.values, self.eig.vectors) - self.mat.matrix
-            if np.abs(residual).max() > 1e-12 * max(1.0, frobenius(self.mat)):
-                raise ValueError("eigendecomposition does not reconstruct the matrix")
-        lognorm = float(_log_norm(self.eig.values, "SpdTensor"))
-        if lognorm > bound * (1.0 + 1e-12) + 1e-12:
-            raise ValueError(
-                f"||Log(mat)||_F = {lognorm:.17g} exceeds certified bound {bound:.17g}"
-            )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.mat.matrix
-
-
-def frobenius(m: SymMat) -> float:
-    """Frobenius norm of the full matrix (off-diagonals counted twice)."""
-    return float(np.sqrt(weighted_norm_sq(m.coeffs)))
-
-
-def _spd_from_eig(values: np.ndarray, vectors: np.ndarray, bound: float) -> SpdTensor:
-    mat = SymMat(_coeffs_from_eig(values, vectors))
-    return SpdTensor(mat, bound, eig=EigenPair(values, vectors))
-
-
-def mat_exp(s: SymMat) -> SpdTensor:
-    """Matrix exponential of a symmetric matrix; certified bound ||s||_F."""
-    vals, vecs = _exp_eig(s.coeffs)
-    return _spd_from_eig(vals, vecs, frobenius(s))
-
-
-def _sym_of(a, symmetrize: bool = False) -> SymMat:
-    """SymMat of a SpdTensor, SymMat or raw array (symmetrize: take its symmetric part)."""
-    if isinstance(a, SpdTensor):
-        return a.mat
-    if isinstance(a, SymMat):
-        return a
-    return SymMat.from_matrix(a, tol=np.inf if symmetrize else 1e-9)
-
-
-def _eig_of(a, symmetrize: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(values, vectors) of a SpdTensor (cached), SymMat, or raw array."""
-    if isinstance(a, SpdTensor):
-        return a.eig.values, a.eig.vectors
-    return eigh_coeffs(_sym_of(a, symmetrize).coeffs)
-
-
-def mat_log(a) -> SymMat:
-    """Matrix logarithm of a strictly positive definite symmetric matrix."""
-    vals, vecs = _eig_of(a)
-    return SymMat(_coeffs_from_eig(_log_values(vals, "mat_log"), vecs))
-
-
-def dist_log_euclidean(a, b) -> float:
-    """Log-Euclidean distance ||Log A - Log B||_F."""
-    return frobenius(SymMat(mat_log(a).coeffs - mat_log(b).coeffs))
-
-
-def dist_affine_invariant(a, b) -> float:
-    """Affine-invariant distance ||Log(A^{-1/2} B A^{-1/2})||_F."""
-    vals, vecs = _eig_of(a)
-    mb = _sym_of(b)
-    _log_values(vals, "dist_affine_invariant")  # only the positive-definiteness check
-    inv_sqrt = assemble_from_eig(1.0 / np.sqrt(vals), vecs)
-    ivals, _ = _eig_of(inv_sqrt @ mb.matrix @ inv_sqrt, symmetrize=True)
-    return float(_log_norm(ivals, "the dist_affine_invariant congruence"))
-
-
-def project_full(a, epsilon: float = EPSILON_DEFAULT, z: float = LOG_BOUND_DEFAULT) -> SpdTensor:
-    """Symmetrize, floor eigenvalues at epsilon, then rescale into the log-ball of radius z;
-    bit-equal to project_full_coeffs on every element that it decomposes."""
-    epsilon, z = float(epsilon), float(z)
-    if not (epsilon > 0.0 and z > 0.0):
-        raise ValueError(f"epsilon and z must be > 0, got {epsilon:g} and {z:g}")
-    _check_floor_in_ball(epsilon, z)
-    vals, vecs = _eig_of(a, symmetrize=True)
-    vals = _project_values(vals, epsilon, z)
-    return _spd_from_eig(vals, vecs, min(z, float(_log_norm(vals))))
-
-
-def geodesic(a: SpdTensor, b: SpdTensor, t: float) -> SpdTensor:
-    """Log-Euclidean geodesic Exp((1-t) Log A + t Log B); result(0) = A."""
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    la, lb = mat_log(a), mat_log(b)
-    return mat_exp(SymMat((1.0 - t) * la.coeffs + t * lb.coeffs))
-
-
 def fa_of_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Fractional anisotropy of a (..., 3) eigenvalue array, clipped into [0, 1];
-    a.eig.values gives an SpdTensor's.
+    eigh_coeffs(coeffs)[0] gives the eigenvalues of a coefficient array.
 
     Written with pairwise eigenvalue differences, so equal eigenvalues give
     exactly 0.
@@ -414,7 +236,8 @@ def log_coeffs(coeffs: np.ndarray) -> np.ndarray:
 
 def exp_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Matrix exp on a (..., 6) coefficient array of symmetric matrices."""
-    return _coeffs_from_eig(*_exp_eig(coeffs))
+    vals, vecs = eigh_coeffs(coeffs)
+    return _coeffs_from_eig(_exp_values(vals), vecs)
 
 
 def weighted_norm_sq(coeffs: np.ndarray) -> np.ndarray:
@@ -453,7 +276,9 @@ def _certified_feasible(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndar
 
 
 def project_full_coeffs(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:
-    """project_full elementwise on (..., 6) coefficients; _certified_feasible ones pass as is."""
+    """Full projection of (..., 6) coefficients: floor the eigenvalues at epsilon, then
+    rescale the log spectrum into the ball ||Log||_F <= z; the elements that
+    _certified_feasible proves feasible pass as they are."""
     _check_floor_in_ball(epsilon, z)
     out = np.array(coeffs, dtype=np.float64)
     todo = ~_certified_feasible(out, epsilon, z)
@@ -464,7 +289,7 @@ def project_full_coeffs(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndar
 
 
 def project_log_coeffs(logcoeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:
-    """Log-domain equivalent of project_full(Exp(L)): returns Log(P(Exp(L))).
+    """Log-domain twin of project_full_coeffs: returns Log(P(Exp(L))) for (..., 6) logs L.
 
     An element with ||L||_F <= min(z, -log epsilon) violates neither
     constraint (|eigenvalue| <= ||L||_F), so it is returned unchanged.  Beyond

@@ -20,7 +20,12 @@ from dtfield.analysis import (
 )
 from dtfield.field import FunctionalParams, TensorField
 from dtfield.optim import SolverConfig
-from dtfield.spd import coeffs_to_matrices, matrices_to_coeffs, project_full
+from dtfield.spd import (
+    EPSILON_DEFAULT,
+    coeffs_to_matrices,
+    matrices_to_coeffs,
+    project_full_coeffs,
+)
 from dtfield.synth import make_main_direction_phantom, make_staircase_phantom
 
 
@@ -39,7 +44,7 @@ def test_snr_identical_fields_is_infinite():
 
 def test_snr_identity_vs_projected_zero():
     orig = isotropic_field(3, 4)
-    rec = TensorField(np.broadcast_to(project_full(np.zeros((3, 3))).mat.coeffs,
+    rec = TensorField(np.broadcast_to(project_full_coeffs(np.zeros(6), EPSILON_DEFAULT, 36.0),
                                       (3, 4, 6)).copy(), 36.0)
     gap = 1.0 - math.exp(-36.0 / math.sqrt(3.0))
     expected = math.sqrt((3.0 * 12) / (3.0 * gap ** 2 * 12))

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
+from dtfield import cli
 from dtfield.cli import _SOLVE_OPTS, main
 from dtfield.fileio import read_field, write_field
 from dtfield.analysis import log_distance_map
@@ -19,6 +21,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("the work ran before the output paths were checked")
 
 
 def generate(capsys, out_dir, *extra):
@@ -97,6 +103,35 @@ def test_generate_out_naming_a_file_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert target.read_text() == "keep\n"
     assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/", "afile/sub", "afile/sub/deeper"])
+def test_generate_checks_out_before_the_work(tmp_path, capsys, monkeypatch, target):
+    # the simulation and the fit used to run before os.makedirs rejected --out
+    monkeypatch.setattr(cli, "fit_field", never_called)
+    (tmp_path / "afile").write_text("keep\n")
+    out = os.path.join(str(tmp_path), target)
+    code, stdout, err = run(capsys, "generate", "--n", "4", "--out", out)
+    assert code == 2 and stdout == ""
+    with pytest.raises(OSError) as makedirs_error:
+        os.makedirs(out, exist_ok=True)
+    assert err == f"error: {makedirs_error.value}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--epsilon", "0"], ["--epsilon", "-1"], ["--z", "0"],
+    ["--n", "16", "--sigma2", "6400", "--epsilon", "0"],
+], ids=["epsilon-0", "epsilon-negative", "z-0", "epsilon-0-16x16"])
+def test_generate_rejects_non_positive_epsilon_and_z(tmp_path, capsys, extra):
+    # these exited 0 and wrote fields, the 16x16 one exited 2 with "matrix log
+    # requires a positive definite matrix (min eigenvalue 0)"
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "generate", "--n", "4", *extra, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: epsilon and z must be > 0, got ")
+    assert not out.exists()
 
 
 def test_generate_zero_noise_roundtrips(tmp_path, capsys):
@@ -316,6 +351,37 @@ def test_solve_runtime_failure_exits_3(tmp_path, capsys):
                        "--out", str(tmp_path / "out.dtf"))
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize("layout", ["out-dir", "report-missing-dir", "sweep-out-dir",
+                                    "sweep-report-under-file"])
+def test_solve_checks_every_output_path_before_solving(tmp_path, capsys, monkeypatch, layout):
+    # a solve used to run in full (and a sweep to write its earlier runs)
+    # before the write to a bad path failed
+    data = generate(capsys, tmp_path / "data")
+    argv = ["denoise", str(data / "noisy.dtf"), "--out", str(tmp_path / "rec.dtf")]
+    if layout == "out-dir":
+        bad = tmp_path / "rec.dtf"
+        bad.mkdir()
+    elif layout == "report-missing-dir":
+        bad = tmp_path / "missing" / "run.json"
+        argv += ["--report", str(bad)]
+    elif layout == "sweep-out-dir":
+        bad = tmp_path / "rec.alpha-2.dtf"
+        bad.mkdir()
+        argv += ["--sweep", "alpha=0.5,2"]
+    else:
+        (tmp_path / "afile").write_text("keep\n")
+        bad = tmp_path / "afile" / "run.alpha-0.5.json"
+        argv += ["--sweep", "alpha=0.5,2", "--report", str(tmp_path / "afile" / "run.json")]
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli, "solve", never_called)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    with pytest.raises(OSError) as open_error:
+        open(bad, "w", encoding="ascii")
+    assert err == f"error: {open_error.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

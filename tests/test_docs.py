@@ -47,6 +47,22 @@ def test_readme_module_table_names_resolve():
     assert not missing, f"README names what its module lacks: {missing}"
 
 
+def test_readme_library_tour_identifiers_resolve():
+    # every identifier the tour's prose backticks, bare or called, resolves in
+    # a dtfield module: prose naming a deleted function fails here
+    prose = re.sub(r"^```.*?^```", "", doc_section(README, "Library tour"), flags=re.S | re.M)
+    modules = ["dtfield"] + [f"dtfield.{path.stem}" for path in sorted(SRC.glob("*.py"))
+                             if path.stem != "__init__"]
+    names = set()
+    for span in re.findall(r"`([^`]+)`", prose):
+        if re.fullmatch(r"[A-Za-z_][\w.]*", span):
+            names.add(span)
+        names.update(re.findall(r"([A-Za-z_][\w.]*)\(", span))
+    missing = sorted(name for name in names if not any(
+        resolves(module, name.removeprefix("dtfield.")) for module in modules))
+    assert names and not missing, f"README's library tour names what dtfield lacks: {missing}"
+
+
 def referenced_names(directory, strings=False):
     """Names and attributes used in directory/*.py (with strings: string constants too)."""
     names = set()

@@ -27,7 +27,6 @@ from dtfield.field import (
 from dtfield.spd import (
     EPSILON_DEFAULT,
     coeffs_to_matrices,
-    dist_log_euclidean,
     exp_coeffs,
     log_coeffs,
     matrices_to_coeffs,
@@ -56,10 +55,14 @@ I_COEFFS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def brute_force_phi(w: TensorField, params: FunctionalParams, metric: str) -> float:
-    """Quadruple loop over all ordered pixel pairs; independent oracle."""
+    """Quadruple loop over all ordered pixel pairs; independent oracle, with
+    matrix logs from numpy.linalg.eigh rather than dtfield's Jacobi."""
     n = params.n_rho
     moll = build_mollifier(n) if params.l == 1 else None
-    tensors = [[w.tensor_at(r, c) for c in range(w.width)] for r in range(w.height)]
+    mats = coeffs_to_matrices(w.coeffs)
+    if metric == "log-euclidean":
+        vals, vecs = np.linalg.eigh(mats)
+        mats = np.einsum("...ik,...k,...jk->...ij", vecs, np.log(vals), vecs)
     total = 0.0
     for y1 in range(w.height):
         for x1 in range(w.width):
@@ -73,11 +76,7 @@ def brute_force_phi(w: TensorField, params: FunctionalParams, metric: str) -> fl
                         if max(abs(dx), abs(dy)) > n or moll[n + dy, n + dx] == 0.0:
                             continue
                         weight = moll[n + dy, n + dx]
-                    a, b = tensors[y1][x1], tensors[y2][x2]
-                    if metric == "log-euclidean":
-                        d = dist_log_euclidean(a, b)
-                    else:
-                        d = math.sqrt(((a.matrix - b.matrix) ** 2).sum())
+                    d = math.sqrt(((mats[y1, x1] - mats[y2, x2]) ** 2).sum())
                     r = math.hypot(y1 - y2, x1 - x2)
                     total += weight * d ** params.p / r ** (2.0 + params.p * params.s)
     return total
@@ -138,8 +137,6 @@ def test_tensor_field_accessors():
     rng = np.random.default_rng(40)
     w = random_field(rng, 3, 4)
     assert w.height == 3 and w.width == 4
-    t = w.tensor_at(1, 2)
-    assert np.array_equal(t.mat.coeffs, w.coeffs[1, 2])
 
 
 def test_tensor_field_rejects_non_spd_pixel():
@@ -429,7 +426,7 @@ def test_functional_fc_brute_force():
     for r in range(3):
         for c in range(3):
             if mask_values[r, c]:
-                diff = w.tensor_at(r, c).matrix - data.tensor_at(r, c).matrix
+                diff = coeffs_to_matrices(w.coeffs[r, c] - data.coeffs[r, c])
                 expected += ((diff ** 2).sum()) ** (params.p / 2.0)
     expected += params.beta * theta_regularizer(w.coeffs, params.p)
     assert abs(got - expected) <= 1e-11 * max(1.0, expected)

@@ -19,13 +19,12 @@ from dtfield.optim import (
     LineSearchError,
     SolveReport,
     SolverConfig,
-    default_init,
     solve,
 )
 from dtfield.spd import (
-    dist_log_euclidean,
     exp_coeffs,
     log_coeffs,
+    project_full_coeffs,
     project_log_coeffs,
     weighted_norm_sq,
 )
@@ -234,8 +233,7 @@ def test_alpha_zero_full_mask_returns_data():
     assert report.iterations <= 1
     assert report.converged
     assert report.final_objective <= 1e-12
-    worst = max(dist_log_euclidean(out.tensor_at(i, j), data.tensor_at(i, j))
-                for i in range(4) for j in range(5))
+    worst = np.sqrt(weighted_norm_sq(log_coeffs(out.coeffs) - log_coeffs(data.coeffs))).max()
     assert worst < 1e-8
 
 
@@ -473,9 +471,8 @@ def test_masked_pixels_move_toward_neighbors():
     mask = np.ones((4, 4), dtype=bool)
     mask[1:3, 1:3] = False
     params = FunctionalParams(p=1.1, alpha=0.5, s=0.5, l=1, n_rho=2)
-    init = default_init(data, mask, params)
+    init_logs = Objective("f-log-euclidean", data, mask, params).start()
     out, report = solve(data, mask, params, config=SolverConfig(max_iters=400))
-    init_logs = log_coeffs(init.coeffs)
     out_logs = log_coeffs(out.coeffs)
     data_logs = log_coeffs(data.coeffs)
     before = np.sqrt(weighted_norm_sq(init_logs - data_logs))[~mask]
@@ -489,25 +486,27 @@ def test_default_init_seeds_masked_pixels():
     data = random_field(3, 3, seed=95)
     mask = np.ones((3, 3), dtype=bool)
     mask[0, 2] = False
-    params = FunctionalParams()
-    init = default_init(data, mask, params)
+    # a solve without init starts at the data, masked-out pixels at the floor seed
+    start = Objective("f-euclidean", data, mask, FunctionalParams()).start()
     seed_diag = np.exp(-36.0 / np.sqrt(3.0))
-    assert np.allclose(init.coeffs[0, 2, :3], seed_diag, rtol=1e-12)
-    assert np.all(init.coeffs[0, 2, 3:] == 0.0)
-    assert np.array_equal(init.coeffs[mask], data.coeffs[mask])
+    assert np.allclose(start[0, 2, :3], seed_diag, rtol=1e-12)
+    assert np.all(start[0, 2, 3:] == 0.0)
+    assert np.array_equal(start[mask], data.coeffs[mask])
 
 
 @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["default-eps", "eps-1e-3"])
 @pytest.mark.parametrize("masked", [False, True], ids=["full", "hole"])
 def test_default_start_bit_equals_default_init(masked, epsilon):
     # a solve without init builds its start from the target's logs instead
-    # of decomposing default_init's field again: the same start, to the bit
+    # of decomposing the floor-seeded field again: the same start, to the bit
     data, mask = noisy_band_16x16_with_hole()
     if not masked:
         mask = Mask.full(16, 16)
     kwargs = {} if epsilon is None else {"epsilon": epsilon}
     params = FunctionalParams(p=1.1, alpha=2.75, beta=2.0, n_rho=3, **kwargs)
-    init = default_init(data, mask, params)
+    seeded = data.coeffs.copy()
+    seeded[~mask.values] = project_full_coeffs(np.zeros(6), params.epsilon, params.z)
+    init = TensorField(seeded, max(data.log_bound, params.z))
     for objective in ("f-log-euclidean", "f-euclidean", "fc"):
         pack = Objective(objective, data, mask, params)
         assert np.array_equal(pack.start(), pack.start(init))

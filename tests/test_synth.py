@@ -11,6 +11,7 @@ from scipy.special import i0e, i1e
 from dtfield.field import TensorField
 from dtfield.spd import (
     assemble_from_eig,
+    coeffs_to_matrices,
     eigh_coeffs,
     fa_of_eigenvalues,
     log_coeffs,
@@ -159,9 +160,8 @@ def test_fit_roundtrip_noiseless():
 def test_fit_all_signals_at_a0_gives_projected_zero():
     dwis = DwiSet(default_directions(), 800.0, 1000.0,
                   np.full((12, 2, 2), 1000.0))
-    tensor = fit_field(dwis).tensor_at(0, 0)
-    assert np.allclose(np.diag(tensor.mat.matrix), math.exp(-36.0 / math.sqrt(3.0)),
-                       rtol=1e-9)
+    tensor = coeffs_to_matrices(fit_field(dwis).coeffs[0, 0])
+    assert np.allclose(np.diag(tensor), math.exp(-36.0 / math.sqrt(3.0)), rtol=1e-9)
 
 
 def test_fit_rejects_floor_outside_log_ball():
@@ -259,13 +259,13 @@ def test_apply_noise_numpy_seed_matches_python_int(seed):
 
 def test_staircase_profile():
     field = make_staircase_phantom(10)
-    assert fa_of_eigenvalues(field.tensor_at(0, 0).eig.values) == 0.0
-    last = np.linalg.eigvalsh(field.tensor_at(5, 9).mat.matrix)
+    fa = fa_of_eigenvalues(eigh_coeffs(field.coeffs)[0])
+    assert fa[0, 0] == 0.0
+    last = np.linalg.eigvalsh(coeffs_to_matrices(field.coeffs[5, 9]))
     assert math.isclose(last.max(), 3.5e-3, rel_tol=1e-12)
     assert math.isclose(last.min(), 0.5e-3, rel_tol=1e-12)
     # columns are constant; anisotropy grows left to right
-    fa = [fa_of_eigenvalues(field.tensor_at(3, j).eig.values) for j in range(10)]
-    assert all(b > a for a, b in zip(fa, fa[1:]))
+    assert all(b > a for a, b in zip(fa[3], fa[3, 1:]))
     for i in range(1, 10):
         assert np.array_equal(field.coeffs[i], field.coeffs[0])
 
@@ -277,19 +277,16 @@ def test_staircase_needs_two_columns():
 
 def test_main_direction_band_geometry():
     field = make_main_direction_phantom(10)
-    fa = np.array([[fa_of_eigenvalues(field.tensor_at(i, j).eig.values) for j in range(10)]
-                   for i in range(10)])
+    fa = fa_of_eigenvalues(eigh_coeffs(field.coeffs)[0])
     band = fa > 0.5
     assert band.sum() > 10
     assert fa[0, 0] == 0.0
     background = fa[~band]
     assert background.max() == 0.0
     # principal axis of the vertical leg points along rows, horizontal leg along columns
-    vert = field.tensor_at(0, 1)
-    vals, vecs = np.linalg.eigh(vert.mat.matrix)
+    vals, vecs = np.linalg.eigh(coeffs_to_matrices(field.coeffs[0, 1]))
     assert abs(vecs[:, -1] @ np.array([0.0, 1.0, 0.0])) > 0.999
-    horiz = field.tensor_at(8, 6)
-    vals, vecs = np.linalg.eigh(horiz.mat.matrix)
+    vals, vecs = np.linalg.eigh(coeffs_to_matrices(field.coeffs[8, 6]))
     assert abs(vecs[:, -1] @ np.array([1.0, 0.0, 0.0])) > 0.999
 
 

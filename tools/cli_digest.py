@@ -25,8 +25,10 @@ at seeds 0, 1 and 3; and that generate at seed 2, which exits 2 because a
 noisy fit breaks the log-bound.  Then the usage errors, each exiting 2:
 generate with --n x, --phantom helix and --threads 0; generate from a
 --config file (bad.cfg) holding phantom = helix; a denoise of the 6x6 data
-with --objective bogus; and generate with --out naming the existing file
-hole.msk.  Standard library only; not part of the test suite.
+with --objective bogus; generate with --out naming the existing file
+hole.msk; generate with --epsilon 0, which writes nothing (no e0 directory);
+and a denoise of the 6x6 data whose --out names the existing directory g6.
+Standard library only; not part of the test suite.
 """
 from __future__ import annotations
 
@@ -83,6 +85,8 @@ MATRIX += [
     "generate --config bad.cfg --out bad",
     "denoise g6/noisy.dtf --objective bogus --out g6/bogus.dtf",
     "generate --n 4 --out hole.msk",
+    "generate --n 4 --epsilon 0 --out e0",
+    "denoise g6/noisy.dtf --iters 40 --out g6",
 ]
 
 
