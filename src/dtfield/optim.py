@@ -1,39 +1,45 @@
-"""Projected gradient descent for the tensor-field objectives.
+"""Projected descent for the tensor-field objectives.
 
 solve minimizes one of the three objectives of field.Objective with the
 analytic gradient of Objective.value_grad.  In "f-log-euclidean" the iterate
 holds per-pixel matrix-log coefficients; in these coordinates the objective
 is convex and the feasible set is a product of Frobenius log-norm balls, so
-iterations carry momentum: monotone FISTA (Beck & Teboulle) with
-function-value restart (O'Donoghue & Candes).  "f-euclidean" and "fc"
-iterate on raw coefficients with the full SPD projection after each step;
-that set is not convex, so they take plain steps only.
+iterations first try a projected L-BFGS step (Liu & Nocedal; projected
+quasi-Newton as in Schmidt, van den Berg, Friedlander & Murphy).
+"f-euclidean" and "fc" iterate on raw coefficients with the full SPD
+projection after each step; that set is not convex, so they take plain steps
+only.
 
-Every step is one backtracking ladder: trials P(base - step * grad / W),
-the step halving (_BACKTRACK) until an acceptance rule stops the ladder;
-the stopping trial is accepted if it lowers f(x) by at least
-rel_tol * max(1, |f(x)|).  A momentum step's ladder runs from
-y = x + ((t - 1) / t_next) (x - x_prev) and stops at the descent-lemma bound
-f(trial) <= f(y) + <grad, d> + ||d||_F^2 / (2 step), d = trial - y; when that
-trial is not accepted, no step meets the bound or f(y) or its gradient is not
-finite, t restarts at 1 and the iteration is redone as a plain step from x.
-A plain step's ladder runs from x and stops at a trial that satisfies the
-Armijo condition f(trial) <= f(x) + c * <grad, trial - x> (c = _ARMIJO_C)
-and the decrease.  Ladders are warm: the next one starts at _GROW times the
-accepted step when a ladder's first trial was accepted, and at the accepted
-step otherwise, so a steady step costs one evaluation and a short one can
-still grow (the backtracking of Scheinberg, Goldfarb & Bai).  The first
-ladder starts at twice init_step.  A run stops only after a plain step's
-fresh ladder from the current point, also at twice init_step, fails too;
-that is the first ladder of a re-solve from the result, so re-solving
-changes the objective by less than the tolerance.
+Every step is one backtracking ladder: trials P(x - step * direction), the
+step halving (_BACKTRACK) until a trial satisfies the Armijo condition
+f(trial) <= f(x) + c * <grad, trial - x> (c = _ARMIJO_C) and lowers f(x) by
+at least rel_tol * max(1, |f(x)|); that trial is accepted.  A quasi-Newton
+ladder takes direction = H grad from step 1, halving at most _QN_HALVINGS
+times.  H is the L-BFGS inverse-Hessian estimate of the last _HISTORY pairs
+s = x+ - x, y = grad f(x+) - grad f(x) of accepted steps (a pair with
+<s, y> <= _CURVATURE_SKIP ||s|| ||y|| is dropped), with H0 = gamma W^-1,
+W the Frobenius weights of the coefficients and gamma = <s, y> / <y, W^-1 y>
+of the newest pair.  An iteration whose history is empty, whose <grad, H grad>
+is not positive or whose quasi-Newton ladder accepts no trial takes a plain
+step instead: ladders with direction = grad / W.  Plain ladders are warm: the
+next one starts at _GROW times the accepted step when a ladder's first trial
+was accepted, and at the accepted step otherwise, so a steady step costs one
+evaluation and a short one can still grow (the backtracking of Scheinberg,
+Goldfarb & Bai); a quasi-Newton acceptance leaves that start alone.  The
+first plain ladder starts at twice init_step.  A run stops only after a
+plain step's fresh ladder from the current point, also at twice init_step,
+fails too; a re-solve from the result starts with an empty history, so that
+is its first ladder, and re-solving changes the objective by less than the
+tolerance.
 
 All three objectives are convex in the iterate's coordinates, so
-f(x) - f(trial) <= <grad, x - trial>.  A plain ladder therefore skips,
+f(x) - f(trial) <= <grad, x - trial>.  A ladder therefore skips,
 unevaluated, every trial whose bound falls short of the decrease threshold
 by half of it (_ruled_out): the run would have rejected it anyway, so
-accepted steps and results are unchanged and only evaluations fall.  A
+accepted steps and results are unchanged and only evaluations fall.  A plain
 ladder that would end on a skipped trial evaluates it, for the plateau test.
+Inner products of the recursion are elementwise products summed by np.sum:
+no BLAS call, whose summation order depends on the CPU kernel.
 """
 from __future__ import annotations
 
@@ -45,13 +51,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .field import FunctionalParams, Objective, TensorField
-from .spd import _W3, weighted_norm_sq
+from .spd import _W3
 
 
 _MAX_BACKTRACKS = 60
-_ARMIJO_C = 1e-4  # sufficient-decrease constant of plain steps
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of every ladder
 _BACKTRACK = 0.5  # step shrink factor of every ladder
-_GROW = 1.25  # next start over the accepted step, after a first-trial acceptance
+_GROW = 1.25  # next plain start over the accepted step, after a first-trial acceptance
+_HISTORY = 5  # L-BFGS pairs kept
+_QN_HALVINGS = 20  # quasi-Newton ladder: trials at steps 1, 1/2, ..., 2^-20
+_CURVATURE_SKIP = 1e-12  # a pair with <s, y> <= this * ||s|| ||y|| is dropped
 
 # relative rounding slack of objective values: an unaccepted line search
 # whose best trial does not ascend past it is a floating-point plateau, i.e.
@@ -70,6 +79,65 @@ def _ruled_out(lin: float, threshold: float, current: float) -> bool:
     """
     slack = max(0.5 * threshold, _PLATEAU_REL * abs(current))
     return -math.inf < lin < threshold - slack
+
+
+class _History:
+    """The last _HISTORY curvature pairs of accepted steps, and the L-BFGS
+    two-loop recursion on them.
+
+    s and y of every pair live in one preallocated ring buffer; the
+    recursion writes into one direction buffer and one scratch buffer, so an
+    iteration allocates no full-grid array.  Inner products are elementwise
+    products summed by np.sum.
+    """
+
+    def __init__(self, shape):
+        self.pairs = np.empty((_HISTORY, 2) + shape)  # slot k holds s_k, y_k
+        self.rho = [0.0] * _HISTORY  # 1 / <s_k, y_k>
+        self.direction_buffer = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.count = 0  # pairs stored
+        self.newest = _HISTORY - 1  # slot of the newest pair
+        self.gamma = 1.0  # H0 = gamma W^-1, from the newest pair
+
+    def _dot(self, a, b):
+        np.multiply(a, b, out=self.scratch)
+        return float(self.scratch.sum())
+
+    def push(self, x, x_prev, grad, grad_prev):
+        """Store s = x - x_prev, y = grad - grad_prev unless <s, y> is too small.
+
+        The pair is written into the slot after the newest; a dropped pair
+        therefore also drops the oldest pair of a full history."""
+        slot = (self.newest + 1) % _HISTORY
+        s, y = self.pairs[slot]
+        np.subtract(x, x_prev, out=s)
+        np.subtract(grad, grad_prev, out=y)
+        sy = self._dot(s, y)
+        if not sy > _CURVATURE_SKIP * math.sqrt(self._dot(s, s) * self._dot(y, y)):
+            self.count = min(self.count, _HISTORY - 1)
+            return
+        self.rho[slot] = 1.0 / sy
+        self.gamma = sy / self._dot(y, np.divide(y, _W3, out=self.scratch))
+        self.newest = slot
+        self.count = min(self.count + 1, _HISTORY)
+
+    def direction(self, grad):
+        """H grad, in the direction buffer (overwritten by the next call)."""
+        q, scratch = self.direction_buffer, self.scratch
+        np.copyto(q, grad)
+        slots = [(self.newest - k) % _HISTORY for k in range(self.count)]  # newest first
+        alphas = []
+        for slot in slots:
+            s, y = self.pairs[slot]
+            alpha = self.rho[slot] * self._dot(s, q)
+            alphas.append(alpha)
+            q -= np.multiply(y, alpha, out=scratch)
+        q *= self.gamma / _W3
+        for slot, alpha in zip(reversed(slots), reversed(alphas)):
+            s, y = self.pairs[slot]
+            q += np.multiply(s, alpha - self.rho[slot] * self._dot(y, q), out=scratch)
+        return q
 
 
 class LineSearchError(RuntimeError):
@@ -102,8 +170,9 @@ class SolveReport:
     objective_trajectory[0] is the objective at the initial point; one entry
     follows per accepted iteration, never increasing.  evaluations counts the
     objective values: the initial one and one per evaluated line-search
-    trial (plain-step trials that convexity rules out are skipped and not
-    counted); restarts counts the momentum steps redone as plain steps.
+    trial (trials that convexity rules out are skipped and not counted);
+    quasi_newton_steps counts the iterations whose accepted step came from
+    the L-BFGS ladder, always 0 outside log mode.
     """
 
     iterations: int
@@ -112,7 +181,7 @@ class SolveReport:
     converged: bool
     seconds: float
     evaluations: int = 0
-    restarts: int = 0
+    quasi_newton_steps: int = 0
 
     def __post_init__(self):
         traj = [float(v) for v in self.objective_trajectory]
@@ -136,18 +205,19 @@ def solve(data: TensorField, mask, params: FunctionalParams,
           objective: str = "f-log-euclidean",
           config: SolverConfig | None = None,
           init: TensorField | None = None) -> tuple[TensorField, SolveReport]:
-    """Minimize the chosen objective by projected gradient descent.
+    """Minimize the chosen objective by projected descent.
 
     Runs until max_iters, or until no step of a plain step's fresh ladder
     (tried after a failed warm one) both satisfies the Armijo condition and
-    decreases the objective by rel_tol * max(1, |objective|); momentum steps
-    in log coordinates restart to such plain steps.  All three ladders
-    (momentum, warm plain, fresh plain) are one backtracking loop with its own
-    acceptance rule.  The returned trajectory starts at the initial objective
-    and is non-increasing.  Without init the solve starts at Objective.start():
-    the data, with every masked-out pixel at project_full_coeffs(0).  Overflow
-    never warns: a start objective or a gradient at x that is not finite
-    raises OverflowError, and a trial that overflows is rejected.
+    decreases the objective by rel_tol * max(1, |objective|).  In log
+    coordinates an iteration first tries a projected L-BFGS step with the
+    same acceptance test, and takes the plain ladders when it fails.  All
+    ladders are one backtracking loop.  The returned trajectory starts at the
+    initial objective and is non-increasing.  Without init the solve starts
+    at Objective.start(): the data, with every masked-out pixel at
+    project_full_coeffs(0).  Overflow never warns: a start objective or a
+    gradient at x that is not finite raises OverflowError, and a trial that
+    overflows is rejected.
     """
     config = config if config is not None else SolverConfig()
     if init is not None and (init.height, init.width) != (data.height, data.width):
@@ -157,41 +227,37 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     started = time.perf_counter()
     pack = Objective(objective, data, mask, params)
 
-    def ladder(base, grad, step, stops, plain=False):
-        """Backtrack over the trials P(base - step * grad / W) until
-        stops(trial point - base, <grad, trial point - base>, trial value,
-        step); that trial is accepted if it lowers f(x) by the threshold.  A
-        plain ladder (base = x) skips the trials that convexity rules out,
-        but evaluates its last trial if it would otherwise end on a skip; a
-        trial point that overflows is rejected unprojected.  The next start
-        step is _GROW times the accepted step if the first trial was evaluated
-        and accepted, else the accepted step.  Returns the accepted (point,
+    def ladder(direction, step, rungs):
+        """Backtrack over the trials P(x - step * direction), halving step at
+        most rungs times, until a trial satisfies the Armijo condition and
+        lowers f(x) by the threshold.  Trials that convexity rules out are
+        skipped, but a ladder of _MAX_BACKTRACKS rungs evaluates its last
+        trial if it would otherwise end on a skip; a trial point that
+        overflows is rejected unprojected.  The next start step is _GROW
+        times the accepted step if the first trial was evaluated and
+        accepted, else the accepted step.  Returns the accepted (point,
         value, next start step) or None, and the best trial value."""
         nonlocal evaluations
-        direction = grad / _W3  # Frobenius-geometry descent direction
         best = np.inf
-        for rung in range(_MAX_BACKTRACKS + 1):
-            point = base - step * direction
+        for rung in range(rungs + 1):
+            point = x - step * direction
             if not np.isfinite(point).all():  # overflowed: a rejected rung, not projected
                 step *= _BACKTRACK
                 continue
             candidate = pack.project(point)
-            d = candidate - base
-            slope = float((grad * d).sum())
-            if plain and rung < _MAX_BACKTRACKS and _ruled_out(-slope, threshold, current):
+            slope = float((grad * (candidate - x)).sum())
+            if rung < _MAX_BACKTRACKS and _ruled_out(-slope, threshold, current):
                 step *= _BACKTRACK
                 continue
             trial = float(pack.value(candidate))
             evaluations += 1
             best = min(best, trial)
-            if stops(d, slope, trial, step):
-                if current - trial >= threshold:
-                    return (candidate, trial, step * _GROW if rung == 0 else step), best
-                break
+            if current - trial >= threshold and trial <= current + _ARMIJO_C * slope:
+                return (candidate, trial, step * _GROW if rung == 0 else step), best
             step *= _BACKTRACK
         return None, best
 
-    x = x_prev = pack.start(init)
+    x = pack.start(init)
     current = float(pack.value(x))
     if not math.isfinite(current):
         raise OverflowError(f"objective {current} at the start point; "
@@ -199,37 +265,34 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     trajectory = [current]
     converged = False
     evaluations = 1
-    restarts = 0
-    t = 1.0  # momentum weight; stays 1 (plain steps only) outside log mode
+    quasi_newton_steps = 0
+    history = _History(x.shape) if pack.log_mode else None
+    x_prev = grad_prev = None
     start = fresh = config.init_step / _BACKTRACK
     for iteration in range(config.max_iters):
         threshold = config.rel_tol * max(1.0, abs(current))
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        grad = pack.value_grad(x)[1]
+        if not np.isfinite(grad).all():
+            raise OverflowError(f"gradient not finite at iteration {iteration + 1} (objective "
+                                f"{current:.6g}); alpha, beta or p may be too large")
+        if not np.abs(grad / _W3).max() > 0.0:
+            converged = True  # exact stationary point of a convex objective
+            break
         accepted = None
-        if t > 1.0:
-            # momentum step from y, stopped by the descent-lemma bound at y
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
-            f_y, grad = pack.value_grad(y)  # comes with the gradient: not counted
-            if math.isfinite(f_y) and np.isfinite(grad).all():
-                accepted, _ = ladder(y, grad, start, lambda d, slope, trial, step: (
-                    trial <= f_y + float(slope + weighted_norm_sq(d).sum() / (2 * step))))
-            if accepted is None:  # restart: redo this iteration as a plain step
-                restarts += 1
-                t = 1.0
-                t_next = (1.0 + math.sqrt(5.0)) / 2.0
-        if accepted is None:
-            grad = pack.value_grad(x)[1]
-            if not np.isfinite(grad).all():
-                raise OverflowError(f"gradient not finite at iteration {iteration + 1} (objective "
-                                    f"{current:.6g}); alpha, beta or p may be too large")
-            if not np.abs(grad / _W3).max() > 0.0:
-                converged = True  # exact stationary point of a convex objective
-                break
+        if history is not None:
+            if x_prev is not None:
+                history.push(x, x_prev, grad, grad_prev)
+            if history.count:
+                direction = history.direction(grad)
+                if float((grad * direction).sum()) > 0.0:  # -H grad is a descent direction
+                    accepted, _ = ladder(direction, 1.0, _QN_HALVINGS)
+        if accepted is not None:
+            quasi_newton_steps += 1
+        else:
+            direction = grad / _W3  # Frobenius-geometry gradient
             best_trial = np.inf
             for step in (start,) if start == fresh else (start, fresh):  # warm, then fresh
-                accepted, best = ladder(x, grad, step, lambda d, slope, trial, _: (
-                    current - trial >= threshold
-                    and trial <= current + _ARMIJO_C * slope), plain=True)
+                accepted, best = ladder(direction, step, _MAX_BACKTRACKS)
                 best_trial = min(best_trial, best)
                 if accepted is not None:
                     break
@@ -244,10 +307,9 @@ def solve(data: TensorField, mask, params: FunctionalParams,
                     f"{iteration + 1} (objective {current:.6g}, best trial {best_trial:.6g}); "
                     f"the regularization weight may be ill-scaled"
                 )
-        x_prev = x
-        x, current, start = accepted
-        if pack.log_mode:
-            t = t_next
+            start = accepted[2]
+        x_prev, grad_prev = x, grad
+        x, current, _ = accepted
         trajectory.append(current)
     result = pack.finish(x)
     report = SolveReport(
@@ -257,6 +319,6 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         converged=converged,
         seconds=time.perf_counter() - started,
         evaluations=evaluations,
-        restarts=restarts,
+        quasi_newton_steps=quasi_newton_steps,
     )
     return result, report
