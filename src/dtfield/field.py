@@ -213,8 +213,19 @@ def _field_rep(w: TensorField, metric: str) -> np.ndarray:
     return w.coeffs
 
 
-def _power_grad_factor(norm_sq: np.ndarray, p: float) -> np.ndarray:
-    """d/dnorm factor norm^(p-2), with the 0/0 limit resolved to 0."""
+def _power(norm_sq: np.ndarray, p: float) -> np.ndarray:
+    """norm^p from the squared norm; at p = 2 the squared norm itself, the
+    bits of np.power(norm_sq, 1.0)."""
+    return norm_sq if p == 2.0 else np.power(norm_sq, 0.5 * p)
+
+
+def _power_grad_factor(norm_sq: np.ndarray, p: float):
+    """d/dnorm factor norm^(p-2), with the 0/0 limit resolved to 0.  At p = 2
+    it is the numpy scalar 1.0, which broadcasts against norm_sq's shape: a
+    difference whose norm_sq is 0 is itself 0 unless its squares underflow,
+    so the gradient keeps the bits of the array factor."""
+    if p == 2.0:
+        return np.float64(1.0)
     return np.power(norm_sq, 0.5 * p - 1.0, out=np.zeros_like(norm_sq), where=norm_sq > 0.0)
 
 
@@ -230,7 +241,7 @@ def fidelity_energy(rep: np.ndarray, data_rep: np.ndarray, mask_values: np.ndarr
     """
     diff = rep - data_rep
     nsq = weighted_norm_sq(diff)
-    masked = np.where(mask_values, np.power(nsq, 0.5 * p), 0.0)
+    masked = np.where(mask_values, _power(nsq, p), 0.0)
     energy = masked.sum(axis=(-2, -1))
     if not need_grad:
         return energy
@@ -293,7 +304,7 @@ def pairwise_energy(rep: np.ndarray, offsets: list[tuple[int, int, float]],
         b = rep[..., rows_b, cols_b, :]
         diff = a - b
         nsq = weighted_norm_sq(diff)
-        energy = energy + 2.0 * kernel * np.power(nsq, 0.5 * p).sum(axis=(-2, -1))
+        energy = energy + 2.0 * kernel * _power(nsq, p).sum(axis=(-2, -1))
         if need_grad:
             diff *= (2.0 * kernel * p * _power_grad_factor(nsq, p))[..., None]
             grad[..., rows_a, cols_a, :] += diff
@@ -320,10 +331,10 @@ def theta_energy(coeffs: np.ndarray, p: float, need_grad: bool = False):
     if height > 1:
         dy = coeffs[..., 1:, :, :] - coeffs[..., :-1, :, :]
         gsq[..., :-1, :] += weighted_norm_sq(dy)
-    energy = np.power(gsq, 0.5 * p).sum(axis=(-2, -1))
+    energy = _power(gsq, p).sum(axis=(-2, -1))
     if not need_grad:
         return energy
-    h = p * _power_grad_factor(gsq, p)
+    h = np.broadcast_to(p * _power_grad_factor(gsq, p), gsq.shape)
     grad = np.zeros_like(coeffs)
     if dx is not None:
         dx *= h[..., :, :-1, None]

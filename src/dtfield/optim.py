@@ -40,6 +40,12 @@ accepted steps and results are unchanged and only evaluations fall.  A plain
 ladder that would end on a skipped trial evaluates it, for the plateau test.
 Inner products of the recursion are elementwise products summed by np.sum:
 no BLAS call, whose summation order depends on the CPU kernel.
+
+A ladder's first trial, the one most iterations accept, is evaluated
+together with its gradient (Objective.value_grad, whose value has the bits of
+Objective.value), and the next iteration reuses that gradient; later trials
+are evaluated without one.  So the gradient at an iterate is computed apart
+only at the start point and after an acceptance at a later rung.
 """
 from __future__ import annotations
 
@@ -170,7 +176,9 @@ class SolveReport:
     objective_trajectory[0] is the objective at the initial point; one entry
     follows per accepted iteration, never increasing.  evaluations counts the
     objective values: the initial one and one per evaluated line-search
-    trial (trials that convexity rules out are skipped and not counted);
+    trial (trials that convexity rules out are skipped and not counted); a
+    first trial evaluated with its gradient counts once, and a gradient at an
+    iterate that no trial supplied is not counted;
     quasi_newton_steps counts the iterations whose accepted step came from
     the L-BFGS ladder, always 0 outside log mode.
     """
@@ -233,10 +241,11 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         lowers f(x) by the threshold.  Trials that convexity rules out are
         skipped, but a ladder of _MAX_BACKTRACKS rungs evaluates its last
         trial if it would otherwise end on a skip; a trial point that
-        overflows is rejected unprojected.  The next start step is _GROW
-        times the accepted step if the first trial was evaluated and
-        accepted, else the accepted step.  Returns the accepted (point,
-        value, next start step) or None, and the best trial value."""
+        overflows is rejected unprojected.  The first trial is evaluated
+        with its gradient.  The next start step is _GROW times the accepted
+        step if the first trial was evaluated and accepted, else the
+        accepted step.  Returns the accepted (point, value, next start step,
+        gradient at the point or None) or None, and the best trial value."""
         nonlocal evaluations
         best = np.inf
         for rung in range(rungs + 1):
@@ -249,11 +258,14 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             if rung < _MAX_BACKTRACKS and _ruled_out(-slope, threshold, current):
                 step *= _BACKTRACK
                 continue
-            trial = float(pack.value(candidate))
+            if rung == 0:
+                trial, trial_grad = pack.value_grad(candidate)
+            else:
+                trial, trial_grad = float(pack.value(candidate)), None
             evaluations += 1
             best = min(best, trial)
             if current - trial >= threshold and trial <= current + _ARMIJO_C * slope:
-                return (candidate, trial, step * _GROW if rung == 0 else step), best
+                return (candidate, trial, step * _GROW if rung == 0 else step, trial_grad), best
             step *= _BACKTRACK
         return None, best
 
@@ -267,11 +279,12 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     evaluations = 1
     quasi_newton_steps = 0
     history = _History(x.shape) if pack.log_mode else None
-    x_prev = grad_prev = None
+    x_prev = grad_prev = grad = None
     start = fresh = config.init_step / _BACKTRACK
     for iteration in range(config.max_iters):
         threshold = config.rel_tol * max(1.0, abs(current))
-        grad = pack.value_grad(x)[1]
+        if grad is None:  # no accepted first trial supplied it
+            grad = pack.value_grad(x)[1]
         if not np.isfinite(grad).all():
             raise OverflowError(f"gradient not finite at iteration {iteration + 1} (objective "
                                 f"{current:.6g}); alpha, beta or p may be too large")
@@ -309,7 +322,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
                 )
             start = accepted[2]
         x_prev, grad_prev = x, grad
-        x, current, _ = accepted
+        x, current, _, grad = accepted
         trajectory.append(current)
     result = pack.finish(x)
     report = SolveReport(

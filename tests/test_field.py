@@ -601,21 +601,26 @@ def test_evaluator_gradients_bit_match_reference(p, batch):
 # ---- the Objective bundle ----
 
 def test_objective_value_grad_and_batches_agree_for_every_kind(fd_gradient):
+    # the solver takes a trial's value from value_grad when it evaluates the
+    # trial with its gradient, and from value otherwise: the two must agree to
+    # the bit, or accepted steps would depend on which one ran
     rng = np.random.default_rng(61)
     data = random_field(rng, 3, 3)
     point = random_field(rng, 3, 3)
     mask = np.ones((3, 3), dtype=bool)
     mask[2, 0] = False
-    params = FunctionalParams(p=1.5, s=0.5, alpha=0.7, beta=0.4, l=1, n_rho=2)
-    for kind in ("f-log-euclidean", "f-euclidean", "fc"):
-        objective = Objective(kind, data, mask, params)
-        x = objective.start(point)
-        value, grad = objective.value_grad(x)
-        assert value == float(objective.value(x))
-        batch = objective.value(np.stack([x, 0.9 * x]))
-        assert batch[0] == objective.value(x) and batch[1] == objective.value(0.9 * x)
-        fd = fd_gradient(objective.value, x)
-        assert np.abs(grad - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
+    for p in (1.1, 1.5, 2.0, 3.0):
+        for l in (0, 1):
+            params = FunctionalParams(p=p, s=0.5, alpha=0.7, beta=0.4, l=l, n_rho=2)
+            for kind in ("f-log-euclidean", "f-euclidean", "fc"):
+                objective = Objective(kind, data, mask, params)
+                x = objective.start(point)
+                value, grad = objective.value_grad(x)
+                assert value == float(objective.value(x))
+                batch = objective.value(np.stack([x, 0.9 * x]))
+                assert batch[0] == objective.value(x) and batch[1] == objective.value(0.9 * x)
+                fd = fd_gradient(objective.value, x)
+                assert np.abs(grad - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
 
 
 def test_objective_rejects_mismatched_mask():

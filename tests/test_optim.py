@@ -407,27 +407,80 @@ def test_line_search_step_grows_from_a_tiny_start(objective):
     assert gap <= 1e-9 * max(1.0, reference.final_objective)
 
 
+def recording_evaluations(monkeypatch):
+    """Patch Objective.value and value_grad to append every point they are
+    called at, in call order, to the returned list as (method name, point)."""
+    calls = []
+    for name in ("value", "value_grad"):
+        def recorded(self, x, _name=name, _method=getattr(Objective, name)):
+            calls.append((_name, x))
+            return _method(self, x)
+        monkeypatch.setattr(Objective, name, recorded)
+    return calls
+
+
+def first_calls(calls):
+    """The calls of recording_evaluations at a point not seen before: the
+    start value and the trials.  The ladder's candidates are fresh arrays, so
+    a later call at the same array is a gradient at an accepted iterate."""
+    seen, first = [], []
+    for name, x in calls:
+        if not any(x is y for y in seen):
+            seen.append(x)
+            first.append(name)
+    return first
+
+
 @pytest.mark.parametrize("objective", ["f-log-euclidean", "f-euclidean", "fc"])
 def test_evaluations_count_every_objective_value(objective, monkeypatch):
     # the initial value and one per evaluated trial of every ladder,
-    # quasi-Newton ladders included; the value that comes with each gradient
-    # is not counted
-    calls = []
-    value = Objective.value
-
-    def counted(self, x):
-        calls.append(None)
-        return value(self, x)
-
-    monkeypatch.setattr(Objective, "value", counted)
+    # quasi-Newton ladders included; a first trial evaluated with its
+    # gradient counts once, and a gradient at an iterate is not counted
+    calls = recording_evaluations(monkeypatch)
     data, _ = noisy_staircase_8x8()
     present = np.ones((8, 8), dtype=bool)
     present[2:5, 3:6] = False
     _, report = solve(data, Mask(present), FunctionalParams(p=2.0, alpha=2.75, beta=2.0),
                       objective=objective, config=SolverConfig(max_iters=100_000))
     assert report.converged
-    assert report.evaluations == len(calls)
+    trials = first_calls(calls)
+    assert report.evaluations == len(trials)
+    assert trials[0] == "value"  # the start point
+    # a gradient is computed apart only at the start and after a later-rung
+    # acceptance: at most once per point evaluated without its gradient
+    gradients_apart = len(calls) - len(trials)
+    assert 1 <= gradients_apart <= trials.count("value")
     assert (report.quasi_newton_steps >= 1) == (objective == "f-log-euclidean")
+
+
+def test_reused_trial_gradients_equal_fresh_gradients(monkeypatch):
+    # every gradient the L-BFGS history sees is the gradient at its iterate,
+    # to the bit, whether the accepted first trial supplied it or it was
+    # computed apart after a later rung was accepted
+    data, mask = noisy_staircase_8x8()
+    params = FunctionalParams(p=1.1, alpha=2.75, n_rho=3)
+    pack = Objective("f-log-euclidean", data, mask, params)
+    pushed = []
+    push, value_grad = optim._History.push, Objective.value_grad  # unrecorded
+
+    def checked_push(self, x, x_prev, grad, grad_prev):
+        pushed.append(x)
+        assert np.array_equal(grad, value_grad(pack, x)[1])
+        assert np.array_equal(grad_prev, value_grad(pack, x_prev)[1])
+        return push(self, x, x_prev, grad, grad_prev)
+
+    monkeypatch.setattr(optim._History, "push", checked_push)
+    calls = recording_evaluations(monkeypatch)
+    _, report = solve(data, mask, params, config=SolverConfig(max_iters=100_000, rel_tol=1e-8))
+    assert report.converged
+    assert len(pushed) == report.iterations  # the last, failed iteration pushes too
+    # both kinds of iterate occur: one whose first trial was accepted and one
+    # accepted at a later rung, evaluated without its gradient
+    evaluated_by = {}
+    for name, x in calls:
+        evaluated_by.setdefault(id(x), name)
+    kinds = {evaluated_by[id(x)] for x in pushed}
+    assert kinds == {"value", "value_grad"}
 
 
 @pytest.mark.parametrize("objective,params,make_data,config", [
@@ -659,14 +712,14 @@ def test_non_finite_quasi_newton_trial_falls_back_to_plain_steps(spoil, monkeypa
         plain_out, plain = solve(data, mask, params, config=config)
     assert plain.quasi_newton_steps == 0
 
-    direction, value, value_grad = (optim._History.direction, Objective.value,
-                                    Objective.value_grad)
+    push, direction, value, value_grad = (optim._History.push, optim._History.direction,
+                                          Objective.value, Objective.value_grad)
     state, spoiled = {}, []
 
-    def recording_value_grad(self, x):
+    def recording_push(self, x, *args):
         state.clear()
         state["x"] = x
-        return value_grad(self, x)
+        return push(self, x, *args)
 
     def spoiled_direction(self, grad):
         d = direction(self, grad)
@@ -676,17 +729,32 @@ def test_non_finite_quasi_newton_trial_falls_back_to_plain_steps(spoil, monkeypa
         state["ray"] = d.copy()
         return d
 
+    def is_quasi_newton_trial(self, candidate):
+        return "ray" in state and spoil.startswith("value") and any(
+            np.array_equal(candidate, self.project(state["x"] - 0.5 ** k * state["ray"]))
+            for k in range(optim._QN_HALVINGS + 1))
+
+    def spoiled_trial():
+        spoiled.append(None)
+        return np.inf if spoil == "value-inf" else np.nan
+
     def spoiled_value(self, candidate):
-        if "ray" in state and spoil.startswith("value") and any(
-                np.array_equal(candidate, self.project(state["x"] - 0.5 ** k * state["ray"]))
-                for k in range(optim._QN_HALVINGS + 1)):
-            spoiled.append(None)
-            return np.inf if spoil == "value-inf" else np.nan
+        if is_quasi_newton_trial(self, candidate):
+            return spoiled_trial()
         return value(self, candidate)
 
+    def spoiled_value_grad(self, candidate):
+        v, g = value_grad(self, candidate)
+        if is_quasi_newton_trial(self, candidate):
+            return spoiled_trial(), g
+        return v, g
+
+    # in log mode every iteration after the first pushes its iterate before
+    # any quasi-Newton ladder, so state["x"] is that ladder's x
+    monkeypatch.setattr(optim._History, "push", recording_push)
     monkeypatch.setattr(optim._History, "direction", spoiled_direction)
     monkeypatch.setattr(Objective, "value", spoiled_value)
-    monkeypatch.setattr(Objective, "value_grad", recording_value_grad)
+    monkeypatch.setattr(Objective, "value_grad", spoiled_value_grad)
     out, report = solve(data, mask, params, config=config)
     assert report.quasi_newton_steps == 0
     assert report.objective_trajectory == plain.objective_trajectory

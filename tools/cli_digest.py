@@ -14,11 +14,11 @@ order.  Diff the output for two checkouts' src/ to see whether they write the
 same bytes, print the same text and exit alike.
 
 The matrix: README's quick start (generate, the loglog denoise, evaluate,
-render, and inpaint with the central 4x4 hole); euclid and sobolev denoises;
-a denoise at --epsilon 1e-3; a re-solve from rec.dtf; an alpha sweep with
-an explicit --report path; a denoise from a --config file (solve.cfg, with
-a flag overriding one of its keys); an all-pairs (--l 0) denoise of a 6x6
-generate; the three huge-weight denoises of a 5x5 generate (sigma2 900,
+render, and inpaint with the central 4x4 hole); euclid and sobolev denoises,
+at the default p and at p = 2; a denoise at --epsilon 1e-3; a re-solve from
+rec.dtf; an alpha sweep with an explicit --report path; a denoise from a
+--config file (solve.cfg, with a flag overriding one of its keys); an
+all-pairs (--l 0) denoise of a 6x6 generate; the three huge-weight denoises of a 5x5 generate (sigma2 900,
 seed 3), which exit 3 with one error line; the 64x64
 generate -> denoise -> evaluate --profile-out pipeline of perfbench's cli-64
 at seeds 0, 1 and 3; and that generate at seed 2, which exits 2 because a
@@ -59,6 +59,8 @@ MATRIX = [
     "evaluate data/original.dtf inpainted.dtf",
     "denoise data/noisy.dtf --objective euclid --iters 40 --out euclid.dtf",
     "denoise data/noisy.dtf --objective sobolev --iters 40 --out sobolev.dtf",
+    "denoise data/noisy.dtf --objective euclid --p 2 --iters 40 --out euclid2.dtf",
+    "denoise data/noisy.dtf --objective sobolev --p 2 --iters 40 --out sobolev2.dtf",
     "denoise data/noisy.dtf --epsilon 1e-3 --alpha 2.75 --iters 40 --out eps.dtf",
     "denoise rec.dtf --alpha 2.75 --iters 40 --out resolved.dtf",
     "denoise data/noisy.dtf --sweep alpha=0.5,2 --iters 40 --report sweep.json --out sweep.dtf",
