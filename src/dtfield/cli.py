@@ -242,6 +242,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.profile_out:
+        _check_out_file(args.profile_out)
     original = read_field(args.original)
     reconstruction = read_field(args.reconstruction)
     print(f"SNR {snr(original, reconstruction)!r}")
@@ -253,6 +255,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     render_svg(read_field(args.input), args.out)
     print(f"wrote {args.out}")
     return 0

@@ -38,8 +38,6 @@ unevaluated, every trial whose bound falls short of the decrease threshold
 by half of it (_ruled_out): the run would have rejected it anyway, so
 accepted steps and results are unchanged and only evaluations fall.  A plain
 ladder that would end on a skipped trial evaluates it, for the plateau test.
-Inner products of the recursion are elementwise products summed by np.sum:
-no BLAS call, whose summation order depends on the CPU kernel.
 
 A ladder's first trial, the one most iterations accept, is evaluated
 together with its gradient (Objective.value_grad, whose value has the bits of
@@ -49,6 +47,7 @@ only at the start point and after an acceptance at a later rung.
 """
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 import time
@@ -87,62 +86,46 @@ def _ruled_out(lin: float, threshold: float, current: float) -> bool:
     return -math.inf < lin < threshold - slack
 
 
+def _dot(a, b) -> float:
+    """<a, b> as an elementwise product summed by np.sum: no BLAS call, whose
+    summation order depends on the CPU kernel."""
+    return float((a * b).sum())
+
+
 class _History:
     """The last _HISTORY curvature pairs of accepted steps, and the L-BFGS
     two-loop recursion on them.
 
-    s and y of every pair live in one preallocated ring buffer; the
-    recursion writes into one direction buffer and one scratch buffer, so an
-    iteration allocates no full-grid array.  Inner products are elementwise
-    products summed by np.sum.
+    pairs holds (s, y, 1 / <s, y>) tuples, oldest first; gamma, of H0 =
+    gamma W^-1, comes from the newest pair.
     """
 
-    def __init__(self, shape):
-        self.pairs = np.empty((_HISTORY, 2) + shape)  # slot k holds s_k, y_k
-        self.rho = [0.0] * _HISTORY  # 1 / <s_k, y_k>
-        self.direction_buffer = np.empty(shape)
-        self.scratch = np.empty(shape)
-        self.count = 0  # pairs stored
-        self.newest = _HISTORY - 1  # slot of the newest pair
-        self.gamma = 1.0  # H0 = gamma W^-1, from the newest pair
-
-    def _dot(self, a, b):
-        np.multiply(a, b, out=self.scratch)
-        return float(self.scratch.sum())
+    def __init__(self):
+        self.pairs = collections.deque(maxlen=_HISTORY)
+        self.gamma = 1.0
 
     def push(self, x, x_prev, grad, grad_prev):
         """Store s = x - x_prev, y = grad - grad_prev unless <s, y> is too small.
 
-        The pair is written into the slot after the newest; a dropped pair
-        therefore also drops the oldest pair of a full history."""
-        slot = (self.newest + 1) % _HISTORY
-        s, y = self.pairs[slot]
-        np.subtract(x, x_prev, out=s)
-        np.subtract(grad, grad_prev, out=y)
-        sy = self._dot(s, y)
-        if not sy > _CURVATURE_SKIP * math.sqrt(self._dot(s, s) * self._dot(y, y)):
-            self.count = min(self.count, _HISTORY - 1)
+        A dropped pair also drops the oldest pair of a full history."""
+        s, y = x - x_prev, grad - grad_prev
+        sy = _dot(s, y)
+        if not sy > _CURVATURE_SKIP * math.sqrt(_dot(s, s) * _dot(y, y)):
+            if len(self.pairs) == _HISTORY:
+                self.pairs.popleft()
             return
-        self.rho[slot] = 1.0 / sy
-        self.gamma = sy / self._dot(y, np.divide(y, _W3, out=self.scratch))
-        self.newest = slot
-        self.count = min(self.count + 1, _HISTORY)
+        self.pairs.append((s, y, 1.0 / sy))
+        self.gamma = sy / _dot(y, y / _W3)
 
     def direction(self, grad):
-        """H grad, in the direction buffer (overwritten by the next call)."""
-        q, scratch = self.direction_buffer, self.scratch
-        np.copyto(q, grad)
-        slots = [(self.newest - k) % _HISTORY for k in range(self.count)]  # newest first
-        alphas = []
-        for slot in slots:
-            s, y = self.pairs[slot]
-            alpha = self.rho[slot] * self._dot(s, q)
-            alphas.append(alpha)
-            q -= np.multiply(y, alpha, out=scratch)
+        """H grad, a new array."""
+        q, alphas = grad.copy(), []
+        for s, y, rho in reversed(self.pairs):  # newest first
+            alphas.append(rho * _dot(s, q))
+            q -= y * alphas[-1]
         q *= self.gamma / _W3
-        for slot, alpha in zip(reversed(slots), reversed(alphas)):
-            s, y = self.pairs[slot]
-            q += np.multiply(s, alpha - self.rho[slot] * self._dot(y, q), out=scratch)
+        for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
+            q += s * (alpha - rho * _dot(y, q))
         return q
 
 
@@ -254,7 +237,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
                 step *= _BACKTRACK
                 continue
             candidate = pack.project(point)
-            slope = float((grad * (candidate - x)).sum())
+            slope = _dot(grad, candidate - x)
             if rung < _MAX_BACKTRACKS and _ruled_out(-slope, threshold, current):
                 step *= _BACKTRACK
                 continue
@@ -278,7 +261,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     converged = False
     evaluations = 1
     quasi_newton_steps = 0
-    history = _History(x.shape) if pack.log_mode else None
+    history = _History() if pack.log_mode else None
     x_prev = grad_prev = grad = None
     start = fresh = config.init_step / _BACKTRACK
     for iteration in range(config.max_iters):
@@ -295,9 +278,9 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         if history is not None:
             if x_prev is not None:
                 history.push(x, x_prev, grad, grad_prev)
-            if history.count:
+            if history.pairs:
                 direction = history.direction(grad)
-                if float((grad * direction).sum()) > 0.0:  # -H grad is a descent direction
+                if _dot(grad, direction) > 0.0:  # -H grad is a descent direction
                     accepted, _ = ladder(direction, 1.0, _QN_HALVINGS)
         if accepted is not None:
             quasi_newton_steps += 1

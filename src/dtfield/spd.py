@@ -172,17 +172,15 @@ def eigh_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return jacobi_eigh(coeffs_to_matrices(coeffs))
 
 
-def assemble_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Reassemble symmetric matrices V diag(values) V^T, symmetrized exactly."""
-    raw = np.einsum("...ik,...k,...jk->...ij", vectors, values, vectors)
-    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
-
-
 # ---- spectral maps on (..., 3) eigenvalue arrays, shared by the kernels ----
 
 def _coeffs_from_eig(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """(..., n_coeffs) coefficients of V diag(values) V^T."""
-    return matrices_to_coeffs(assemble_from_eig(values, vectors))
+    """(..., 6) coefficients of V diag(values) V^T, symmetrized exactly: coefficient
+    (r, c) is (sum_k V_rk values_k V_ck + sum_k V_ck values_k V_rk) / 2.  Each
+    einsum sum starts from +0.0, so no coefficient is -0.0."""
+    rows, cols = vectors[..., _ROWS, :], vectors[..., _COLS, :]
+    terms = "...nk,...k,...nk->...n"
+    return 0.5 * (np.einsum(terms, rows, values, cols) + np.einsum(terms, cols, values, rows))
 
 
 def _exp_values(vals: np.ndarray) -> np.ndarray:

@@ -546,6 +546,34 @@ def test_evaluate_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("layout", ["dir", "missing-dir", "under-file"])
+@pytest.mark.parametrize("command", ["evaluate", "render"])
+def test_evaluate_and_render_check_the_output_path_first(tmp_path, capsys, monkeypatch,
+                                                          command, layout):
+    # evaluate --profile-out DIR printed its SNR line before exiting 2 with
+    # "Is a directory", and render --out DIR built the whole SVG first
+    write_field(make_staircase_phantom(4), tmp_path / "f.dtf")
+    (tmp_path / "afile").write_text("keep\n")
+    bad = {"dir": tmp_path / "outdir", "missing-dir": tmp_path / "missing" / "out",
+           "under-file": tmp_path / "afile" / "out"}[layout]
+    if layout == "dir":
+        bad.mkdir()
+    field = str(tmp_path / "f.dtf")
+    if command == "evaluate":
+        monkeypatch.setattr(cli, "snr", never_called)
+        argv = ["evaluate", field, field, "--profile-out", str(bad)]
+    else:
+        monkeypatch.setattr(cli, "render_svg", never_called)
+        argv = ["render", field, "--out", str(bad)]
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    with pytest.raises(OSError) as open_error:
+        open(bad, "w", encoding="ascii")
+    assert err == f"error: {open_error.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # ---- render ----
 
 def test_render_glyph_count_and_determinism(tmp_path, capsys):

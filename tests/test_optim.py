@@ -672,31 +672,58 @@ def dense_lbfgs_matrix(pairs, weights):
 
 
 def test_lbfgs_direction_matches_dense_bfgs_updates():
-    # the in-place two-loop recursion on the ring buffer against the dense
-    # BFGS matrix of the same pairs: after the ring wraps, and after a pair
-    # with negative curvature is dropped (it takes the oldest pair's slot)
+    # the two-loop recursion against the dense BFGS matrix of the same pairs:
+    # a pair with negative curvature pushed into a history that is not full
+    # is dropped and loses no pair; after the history fills, the oldest pair
+    # goes; a pair dropped from a full history drops the oldest pair too
     rng = np.random.default_rng(96)
     shape = (2, 2, 6)
     weights = np.tile(W3, 4)
     basis = rng.standard_normal((24, 24))
     hessian = basis @ basis.T + np.eye(24)
-    history = optim._History(shape)
-    xs = [rng.standard_normal(24) for _ in range(8)]
+    history = optim._History()
+    xs = [rng.standard_normal(24) for _ in range(9)]
     kept = []
-    for k in range(1, 8):
+    dropped = {3, 8}  # these pairs have <s, y> < 0
+    for k in range(1, 9):
         s = xs[k] - xs[k - 1]
         grad_prev = rng.standard_normal(24)
-        y = hessian @ s if k != 7 else -s  # the last pair has <s, y> < 0
+        y = -s if k in dropped else hessian @ s
         history.push(xs[k].reshape(shape), xs[k - 1].reshape(shape),
                      (grad_prev + y).reshape(shape), grad_prev.reshape(shape))
-        if k != 7:
-            kept.append((s, y))
-        expected_pairs = kept[-optim._HISTORY:] if k != 7 else kept[-(optim._HISTORY - 1):]
-        assert history.count == len(expected_pairs)
+        if k in dropped:
+            if len(kept) == optim._HISTORY:
+                kept.pop(0)
+        else:
+            kept = (kept + [(s, y)])[-optim._HISTORY:]
+        assert len(history.pairs) == len(kept)
         grad = rng.standard_normal(24)
         got = history.direction(grad.reshape(shape)).ravel()
-        expected = dense_lbfgs_matrix(expected_pairs, weights) @ grad
+        expected = dense_lbfgs_matrix(kept, weights) @ grad
         assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+    assert len(kept) == optim._HISTORY - 1  # the last drop hit a full history
+
+
+def test_lbfgs_directions_are_new_arrays():
+    # two successive directions stay valid side by side, and neither the
+    # gradient nor a stored pair is written to
+    rng = np.random.default_rng(97)
+    shape = (3, 2, 6)
+    history = optim._History()
+    for _ in range(3):
+        x, x_prev, grad_prev = (rng.standard_normal(shape) for _ in range(3))
+        history.push(x, x_prev, grad_prev + 2.0 * (x - x_prev), grad_prev)
+    stored = [tuple(np.copy(a) for a in pair[:2]) for pair in history.pairs]
+    g1, g2 = rng.standard_normal(shape), rng.standard_normal(shape)
+    g1_copy = g1.copy()
+    d1 = history.direction(g1)
+    d1_copy = d1.copy()
+    d2 = history.direction(g2)
+    assert np.array_equal(d1, d1_copy) and np.array_equal(g1, g1_copy)
+    assert not np.shares_memory(d1, d2) and not np.shares_memory(d1, g1)
+    assert np.array_equal(d2, history.direction(g2))
+    for (s, y, _), (s0, y0) in zip(history.pairs, stored):
+        assert np.array_equal(s, s0) and np.array_equal(y, y0)
 
 
 @pytest.mark.parametrize("spoil", ["value-inf", "value-nan", "direction-inf", "direction-nan"])

@@ -14,7 +14,6 @@ from dtfield.spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
     NotPositiveDefiniteError,
-    assemble_from_eig,
     coeffs_to_matrices,
     eigh_coeffs,
     exp_coeffs,
@@ -61,6 +60,13 @@ def project(mats):
 def dist_le(a, b):
     """Log-Euclidean distance of two (6,) tensors, through analysis.log_distance_map."""
     return float(log_distance_map(np.reshape(a, (1, 1, 6)), np.reshape(b, (1, 1, 6)))[0, 0])
+
+
+def assemble_from_eig(values, vectors):
+    """(..., 3, 3) matrices V diag(values) V^T, symmetrized exactly: the
+    reference reassembly of the kernels' eigenvalue maps."""
+    raw = np.einsum("...ik,...k,...jk->...ij", vectors, values, vectors)
+    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
 # ---- coefficient layout ----
@@ -559,6 +565,57 @@ def rotated(rng, eigenvalues):
     q, r = np.linalg.qr(rng.standard_normal((len(eigenvalues), 3, 3)))
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     return matrices_to_coeffs(assemble_from_eig(eigenvalues, q))
+
+
+def reassembly_spectra(rng, case, n=24):
+    """(n, 6) coefficients of SPD tensors with spectra in (e^-30, e^-1): graded
+    and rotated, rotated with repeated eigenvalues, or diagonal (unrotated,
+    repeated ones included), whose off-diagonal terms are all zeros."""
+    spectra = np.exp(-rng.uniform(1.0, 30.0, (n, 3)))
+    if case == "graded":
+        return rotated(rng, spectra)
+    spectra[::3, 1] = spectra[::3, 0]  # (a, a, b), then (a, b, b) and (a, a, a)
+    spectra[1::3, 2] = spectra[1::3, 1]
+    spectra[2::3] = spectra[2::3, :1]
+    if case == "repeated":
+        return rotated(rng, spectra)
+    return spectra @ np.eye(3, 6)
+
+
+@pytest.mark.parametrize("shape", [(), (24,), (4, 6)], ids=["single", "n", "hw"])
+@pytest.mark.parametrize("case", ["graded", "repeated", "diagonal"])
+@pytest.mark.parametrize("kernel", ["exp", "log", "project_full", "project_log"])
+def test_kernels_reassemble_the_bits_of_the_symmetrized_matrix(kernel, case, shape):
+    # each kernel writes the six coefficients of V f(lambda) V^T directly; they
+    # equal, bit for bit and -0.0 never in place of +0.0, the coefficients of
+    # the exactly symmetrized 3x3 product
+    rng = np.random.default_rng(["graded", "repeated", "diagonal"].index(case))
+    spd_coeffs = reassembly_spectra(rng, case)
+    logs = log_coeffs(spd_coeffs)
+    if kernel == "exp":
+        given, run, f = logs, exp_coeffs, np.exp
+    elif kernel == "log":
+        given, run, f = spd_coeffs, log_coeffs, np.log
+    elif kernel == "project_full":
+        # indefinite, so no certificate passes: every tensor is decomposed,
+        # floored at epsilon and rescaled into the ball
+        epsilon, z = 1e-20, LOG_BOUND_DEFAULT
+        given = spd_coeffs * np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+        assert not _certified_feasible(given, epsilon, z).any()
+        run = lambda c: project_full_coeffs(c, epsilon, z)
+        f = lambda vals: spd._project_values(vals, epsilon, z)
+    else:
+        # log norms 25 > -log(epsilon): every tensor is decomposed and clamped
+        epsilon, z = np.exp(-20.0), 22.0
+        given = logs * (25.0 / np.sqrt(weighted_norm_sq(logs)))[:, None]
+        run = lambda c: project_log_coeffs(c, epsilon, z)
+        f = lambda vals: spd._into_ball(np.clip(vals, np.log(epsilon), None), z)
+    given = given.reshape(shape + (6,)) if shape else given[0]
+    got = run(given)
+    vals, vecs = eigh_coeffs(given)
+    expect = matrices_to_coeffs(assemble_from_eig(f(vals), vecs))
+    assert got.shape == expect.shape == given.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 def certificate_cases(rng, epsilon, z, n=20_000):

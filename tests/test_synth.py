@@ -10,7 +10,6 @@ from scipy.special import i0e, i1e
 
 from dtfield.field import TensorField
 from dtfield.spd import (
-    assemble_from_eig,
     coeffs_to_matrices,
     eigh_coeffs,
     fa_of_eigenvalues,
@@ -32,6 +31,12 @@ from dtfield.synth import (
     make_staircase_phantom,
     simulate_dwis,
 )
+
+
+def assemble_from_eig(values, vectors):
+    """(..., 3, 3) matrices V diag(values) V^T, symmetrized exactly."""
+    raw = np.einsum("...ik,...k,...jk->...ij", vectors, values, vectors)
+    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
 def random_dti_field(height, width, seed, lo=1e-4, hi=1e-2):

@@ -14,21 +14,22 @@ order.  Diff the output for two checkouts' src/ to see whether they write the
 same bytes, print the same text and exit alike.
 
 The matrix: README's quick start (generate, the loglog denoise, evaluate,
-render, and inpaint with the central 4x4 hole); euclid and sobolev denoises,
-at the default p and at p = 2; a denoise at --epsilon 1e-3; a re-solve from
-rec.dtf; an alpha sweep with an explicit --report path; a denoise from a
---config file (solve.cfg, with a flag overriding one of its keys); an
-all-pairs (--l 0) denoise of a 6x6 generate; the three huge-weight denoises of a 5x5 generate (sigma2 900,
-seed 3), which exit 3 with one error line; the 64x64
-generate -> denoise -> evaluate --profile-out pipeline of perfbench's cli-64
-at seeds 0, 1 and 3; and that generate at seed 2, which exits 2 because a
-noisy fit breaks the log-bound.  Then the usage errors, each exiting 2:
-generate with --n x, --phantom helix and --threads 0; generate from a
---config file (bad.cfg) holding phantom = helix; a denoise of the 6x6 data
-with --objective bogus; generate with --out naming the existing file
-hole.msk; generate with --epsilon 0, which writes nothing (no e0 directory);
-and a denoise of the 6x6 data whose --out names the existing directory g6.
-Standard library only; not part of the test suite.
+render, and inpaint with the central 4x4 hole); an inpainting of the same hole
+at p = 1.1 to rel-tol 1e-8 (about 1,700 L-BFGS steps); euclid and sobolev
+denoises, at the default p and at p = 2; a denoise at --epsilon 1e-3; a re-
+solve from rec.dtf; an alpha sweep with an explicit --report path; a denoise
+from a --config file (solve.cfg, with a flag overriding one of its keys); a
+16x16 main-direction generate; an all-pairs (--l 0) denoise of a 6x6 generate;
+the three huge-weight denoises of a 5x5 generate (sigma2 900, seed 3), which
+exit 3 with one error line; the 64x64 generate -> denoise -> evaluate
+--profile-out pipeline of perfbench's cli-64 at seeds 0, 1 and 3; and that
+generate at seed 2, which exits 2 because a noisy fit breaks the log-bound.
+Then the usage errors, each exiting 2: generate with --n x, --phantom helix
+and --threads 0; generate from a --config file (bad.cfg) holding phantom =
+helix; a denoise of the 6x6 data with --objective bogus; generate with --out
+naming the existing file hole.msk; generate with --epsilon 0, which writes
+nothing (no e0 directory); and a denoise of the 6x6 data whose --out names the
+existing directory g6. Standard library only; not part of the test suite.
 """
 from __future__ import annotations
 
@@ -56,6 +57,8 @@ MATRIX = [
     "render rec.dtf --out rec.svg",
     "inpaint data/noisy.dtf --mask hole.msk --p 2 --alpha 1.0 --nrho 2 --iters 2000"
     " --rel-tol 1e-10 --out inpainted.dtf",
+    "inpaint data/noisy.dtf --mask hole.msk --p 1.1 --alpha 0.5 --nrho 2 --iters 4000"
+    " --rel-tol 1e-8 --out inpainted-p1.1.dtf",
     "evaluate data/original.dtf inpainted.dtf",
     "denoise data/noisy.dtf --objective euclid --iters 40 --out euclid.dtf",
     "denoise data/noisy.dtf --objective sobolev --iters 40 --out sobolev.dtf",
@@ -65,6 +68,7 @@ MATRIX = [
     "denoise rec.dtf --alpha 2.75 --iters 40 --out resolved.dtf",
     "denoise data/noisy.dtf --sweep alpha=0.5,2 --iters 40 --report sweep.json --out sweep.dtf",
     "denoise data/noisy.dtf --config solve.cfg --iters 30 --out config.dtf",
+    "generate --phantom main-direction --n 16 --sigma2 1600 --seed 0 --out md16",
     "generate --phantom staircase --n 6 --sigma2 1600 --seed 0 --out g6",
     "denoise g6/noisy.dtf --l 0 --iters 40 --out g6/rec.dtf",
     "generate --phantom staircase --n 5 --sigma2 900 --seed 3 --out g5",
