@@ -44,11 +44,10 @@ def snr(orig, rec) -> float:
 
 def log_distance_map(a, b) -> np.ndarray:
     """Per-pixel log-metric distance between two fields, shape (height, width)."""
-    la = log_coeffs(_grid_coeffs(a))
-    lb = log_coeffs(_grid_coeffs(b))
-    if la.shape != lb.shape:
-        raise ValueError(f"field shapes differ: {la.shape} vs {lb.shape}")
-    return np.sqrt(weighted_norm_sq(la - lb))
+    a, b = _grid_coeffs(a), _grid_coeffs(b)
+    if a.shape != b.shape:
+        raise ValueError(f"field shapes differ: {a.shape} vs {b.shape}")
+    return np.sqrt(weighted_norm_sq(log_coeffs(a) - log_coeffs(b)))
 
 
 def column_eigen_profile(w) -> np.ndarray:

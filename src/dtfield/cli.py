@@ -28,7 +28,7 @@ from .analysis import column_eigen_profile, render_svg, snr
 from .field import FunctionalParams, Mask
 from .optim import SolverConfig, solve
 from .fileio import _read, _write, read_field, read_mask, write_dwis, write_field
-from .spd import EPSILON_DEFAULT, LOG_BOUND_DEFAULT
+from .spd import EPSILON_DEFAULT, LOG_BOUND_DEFAULT, _check_floor_in_ball
 from .synth import (
     A0_DEFAULT,
     B_VALUE_DEFAULT,
@@ -175,6 +175,7 @@ def _check_out_file(path: str):
 # ---- commands ----
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _check_floor_in_ball(args.epsilon, args.z)
     _check_out_dir(args.out)
     phantom = _PHANTOMS[args.phantom](args.n)
     spec = NoiseSpec(args.sigma2, args.seed)
@@ -213,13 +214,13 @@ def _suffixed(path: str, token: str) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    params = _from_args(FunctionalParams, args)
+    config = _from_args(SolverConfig, args)
     data = read_field(args.input)
     if args.masked:
         mask = read_mask(args.mask)
     else:
         mask = Mask.full(data.height, data.width)
-    params = _from_args(FunctionalParams, args)
-    config = _from_args(SolverConfig, args)
     runs = []
     for token in [None] if args.sweep is None else _parse_sweep(args.sweep, args.parser):
         out_path = args.out if token is None else _suffixed(args.out, token)

@@ -2,19 +2,19 @@
 
 A field is a height x width grid of 3x3 SPD matrices stored as a
 (height, width, 6) coefficient array, one pixel per grid point with unit
-spacing.  This module evaluates the masked fidelity term, the metric
-double-integral regularizer Phi (a discretized fractional Sobolev
-semi-norm), the full functional F = fidelity + alpha * Phi, and the
-comparison functional F_C = Frobenius fidelity + beta * Theta with Theta the
-forward-difference Sobolev semi-norm.  Objective is the one implementation
-of these functionals, their gradients and their feasible-set projections;
-the solver and the public field-level functions both evaluate through it.
+spacing.  The paper's two functionals are F = fidelity + alpha * Phi, with
+Phi the metric double-integral regularizer (a discretized fractional Sobolev
+semi-norm), and the comparison functional F_C = Frobenius fidelity + beta *
+Theta, with Theta the forward-difference Sobolev semi-norm.  Objective is
+their one implementation: values, gradients, feasible-set projections and
+the map between fields and coordinates.  The solver evaluates through it,
+and functional gives its value at a field.
 
-The batched evaluators at the bottom accept arrays with arbitrary leading
-axes in front of (height, width, 6) and return one energy per leading index;
-gradients are with respect to the independent coefficients (so off-diagonal
-partials carry the Frobenius factor 2).  All reductions run in a fixed index
-order, so results are bit-deterministic.
+The batched evaluators accept arrays with arbitrary leading axes in front
+of (height, width, 6) and return one energy per leading index; gradients
+are with respect to the independent coefficients (so off-diagonal partials
+carry the Frobenius factor 2).  All reductions run in a fixed index order,
+so results are bit-deterministic.
 """
 from __future__ import annotations
 
@@ -179,7 +179,7 @@ class FunctionalParams:
     epsilon: float = EPSILON_DEFAULT
 
     def __post_init__(self):
-        for name in ("p", "s", "alpha", "beta", "n_rho", "z", "epsilon"):
+        for name in ("p", "s", "alpha", "beta", "n_rho"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p > 1.0:
@@ -194,23 +194,7 @@ class FunctionalParams:
             raise ValueError(f"l must be 0 or 1, got {self.l}")
         if int(self.n_rho) != self.n_rho or self.n_rho < 1:
             raise ValueError(f"n_rho must be an integer >= 1, got {self.n_rho}")
-        if not self.z > 0.0:
-            raise ValueError(f"z must be > 0, got {self.z}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         _check_floor_in_ball(self.epsilon, self.z)
-
-
-_METRICS = ("log-euclidean", "euclidean")
-
-
-def _field_rep(w: TensorField, metric: str) -> np.ndarray:
-    """Per-pixel coordinates in which the metric is the weighted 2-norm."""
-    if metric not in _METRICS:
-        raise ValueError(f"unknown metric {metric!r}, expected one of {_METRICS}")
-    if metric == "log-euclidean":
-        return log_coeffs(w.coeffs)
-    return w.coeffs
 
 
 def _power(norm_sq: np.ndarray, p: float) -> np.ndarray:
@@ -359,10 +343,11 @@ class Objective:
     objective is "f-log-euclidean" (fidelity + alpha * Phi over per-pixel
     matrix-log coefficients, where the feasible set is the log-norm ball),
     "f-euclidean" (the same functional over raw coefficients) or "fc"
-    (Frobenius fidelity + beta * Theta over raw coefficients).  The observed
-    TensorField data and start's init map to coordinates through _field_rep;
-    value and value_grad take coordinate arrays, project decides and maps
-    onto the feasible set, and finish maps coordinates back to a field.
+    (Frobenius fidelity + beta * Theta over raw coefficients).  The kind
+    alone decides the coordinates: _coords maps a TensorField to them, for
+    the observed data, start's init and functional alike.  value and
+    value_grad take coordinate arrays, project decides and maps onto the
+    feasible set, and finish maps coordinates back to a field.
     """
 
     def __init__(self, objective: str, data: TensorField, mask, params: FunctionalParams):
@@ -371,8 +356,7 @@ class Objective:
         self.kind = objective
         self.params = params
         self.log_mode = objective == "f-log-euclidean"
-        self.metric = "log-euclidean" if self.log_mode else "euclidean"
-        self.target = _field_rep(data, self.metric)
+        self.target = self._coords(data)
         height, width = data.height, data.width
         self.mask_values = _mask_values(mask, (height, width))
         self.reg_weight = params.beta if objective == "fc" else params.alpha
@@ -381,8 +365,13 @@ class Objective:
         else:
             self.offsets = []
 
+    def _coords(self, w: TensorField) -> np.ndarray:
+        """Per-pixel coordinates of a field: matrix logs in log mode, else raw
+        coefficients; the metric is the weighted 2-norm in them."""
+        return log_coeffs(w.coeffs) if self.log_mode else w.coeffs
+
     def start(self, init: TensorField | None = None) -> np.ndarray:
-        """Feasible start coordinates, project(_field_rep(init)).  None starts at
+        """Feasible start coordinates, project(_coords(init)).  None starts at
         the floor-seeded data: the target, with every masked-out pixel at
         project_full_coeffs(0), so the data is not decomposed again."""
         if init is None:
@@ -390,7 +379,7 @@ class Objective:
             floor = project_full_coeffs(np.zeros(6), self.params.epsilon, self.params.z)
             x[~self.mask_values] = log_coeffs(floor) if self.log_mode else floor
         else:
-            x = _field_rep(init, self.metric)
+            x = self._coords(init)
         return self.project(x)
 
     def _regularizer(self, x: np.ndarray, need_grad: bool = False):
@@ -419,71 +408,23 @@ class Objective:
         return project_full_coeffs(x, self.params.epsilon, self.params.z)
 
     def finish(self, x: np.ndarray) -> TensorField:
+        """The field at coordinates x; in log mode Exp(project(x)).  That
+        projection keeps Exp finite for any finite x, and it shapes the
+        output bytes: project is not bit-idempotent on pixels it rescaled
+        onto the z sphere."""
         if self.log_mode:
-            return from_log_coords(x, self.params.z, self.params.epsilon)
+            x = exp_coeffs(self.project(x))
         return TensorField(x, self.params.z)
 
 
-# ---- public field-level operations ----
-
-def _check_same_grid(w: TensorField, data: TensorField) -> None:
+def functional(w: TensorField, data: TensorField, mask, params: FunctionalParams,
+               objective: str = "f-log-euclidean") -> float:
+    """Value of an objective at the field w, for data observed on mask: F =
+    fidelity + alpha * Phi ("f-log-euclidean", "f-euclidean") or F_C =
+    Frobenius fidelity + beta * Theta ("fc").  It is the bits of
+    Objective(objective, data, mask, params).value at w's coordinates."""
     if (w.height, w.width) != (data.height, data.width):
-        raise ValueError(
-            f"field {w.height}x{w.width} does not match data {data.height}x{data.width}"
-        )
-
-
-def fidelity(w: TensorField, data: TensorField, mask, p: float,
-             metric: str = "log-euclidean") -> float:
-    """Sum over masked pixels of d^p(w(x), data(x))."""
-    _check_same_grid(w, data)
-    mask_values = _mask_values(mask, (w.height, w.width))
-    rep = _field_rep(w, metric)
-    data_rep = _field_rep(data, metric)
-    return float(fidelity_energy(rep, data_rep, mask_values, p))
-
-
-def phi_regularizer(w: TensorField, params: FunctionalParams,
-                    metric: str = "log-euclidean") -> float:
-    """Metric double-integral regularizer over ordered pixel pairs.
-
-    Phi(w) = sum over x != y of d^p(w(x), w(y)) / |x-y|^(2 + p s) weighted by
-    the mollifier at offset x - y when l = 1 (all pairs when l = 0); both
-    ordered pairs of the double integral are counted.
-    """
-    rep = _field_rep(w, metric)
-    offsets = phi_kernel_offsets(w.height, w.width, params)
-    return float(pairwise_energy(rep, offsets, params.p))
-
-
-def functional_F(w: TensorField, data: TensorField, mask, params: FunctionalParams,
-                 metric: str = "log-euclidean") -> float:
-    """Full variational objective: fidelity + alpha * Phi."""
-    _check_same_grid(w, data)
-    rep = _field_rep(w, metric)
-    kind = "f-log-euclidean" if metric == "log-euclidean" else "f-euclidean"
-    return float(Objective(kind, data, mask, params).value(rep))
-
-
-def theta_regularizer(w, p: float) -> float:
-    """Sobolev comparison regularizer on a TensorField or raw coefficients."""
-    return float(theta_energy(_grid_coeffs(w), p))
-
-
-def functional_FC(w: TensorField, data: TensorField, mask,
-                  params: FunctionalParams) -> float:
-    """Comparison objective: Frobenius fidelity + beta * Theta."""
-    _check_same_grid(w, data)
-    return float(Objective("fc", data, mask, params).value(w.coeffs))
-
-
-def from_log_coords(log_field: np.ndarray, z: float = LOG_BOUND_DEFAULT,
-                    epsilon: float = EPSILON_DEFAULT) -> TensorField:
-    """Field of project_full_coeffs(exp_coeffs(L)) for a (height, width, 6) log array.
-
-    Logs inside the radius-z ball map straight through Exp; the rest are
-    projected (eigenvalue floor epsilon, then log-ball rescale) first, which
-    keeps Exp finite for any finite input.
-    """
-    projected = project_log_coeffs(_grid_coeffs(log_field), epsilon, z)
-    return TensorField(exp_coeffs(projected), z)
+        raise ValueError(f"field {w.height}x{w.width} does not match data "
+                         f"{data.height}x{data.width}")
+    bundle = Objective(objective, data, mask, params)
+    return float(bundle.value(bundle._coords(w)))

@@ -20,10 +20,12 @@ map the spectrum through _exp_values and _log_values (with the overflow and
 positive-definiteness checks).  project_full_coeffs (floor at epsilon, then
 ||Log||_F <= z: _project_values) decomposes only the elements that a
 certificate cannot prove feasible; project_log_coeffs is its twin in log
-coordinates.  Both reject an epsilon or z that is not > 0 and a floor outside
-the z ball (_check_floor_in_ball).
+coordinates.  Both reject a z or epsilon that is not finite and > 0, and a
+floor outside the z ball (_check_floor_in_ball).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,11 +47,14 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def _check_floor_in_ball(epsilon: float, z: float):
-    """Reject an epsilon or z that is not > 0, and an epsilon > 1 whose floor forces
-    ||Log||_F >= sqrt(3) log(epsilon) > z (compared in log form, so that no
-    exponential can overflow)."""
-    if not (epsilon > 0.0 and z > 0.0):
-        raise ValueError(f"epsilon and z must be > 0, got {epsilon:g} and {z:g}")
+    """Reject a z or epsilon that is not finite and > 0, and an epsilon > 1 whose
+    floor forces ||Log||_F >= sqrt(3) log(epsilon) > z (compared in log form, so
+    that no exponential can overflow)."""
+    for name, value in (("z", z), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if not value > 0.0:
+            raise ValueError(f"{name} must be > 0, got {value}")
     if epsilon > 1.0 and np.sqrt(3.0) * np.log(epsilon) > z:
         raise ValueError(f"epsilon = {epsilon:g} leaves no feasible tensor: its floor forces "
                          f"||Log||_F >= sqrt(3) log(epsilon) > z = {z:g}")
@@ -191,10 +196,10 @@ def _exp_values(vals: np.ndarray) -> np.ndarray:
     return np.exp(vals)
 
 
-def _log_values(vals: np.ndarray, what: str = "matrix log") -> np.ndarray:
+def _log_values(vals: np.ndarray) -> np.ndarray:
     """log of eigenvalues; NotPositiveDefiniteError unless every one is > 0."""
     if vals.size and vals.min() <= 0.0:
-        raise NotPositiveDefiniteError(f"{what} requires a positive definite matrix "
+        raise NotPositiveDefiniteError(f"log_coeffs requires a positive definite matrix "
                                        f"(min eigenvalue {vals.min():g})")
     return np.log(vals)
 
@@ -229,7 +234,7 @@ def fa_of_eigenvalues(vals: np.ndarray) -> np.ndarray:
 def log_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Matrix log on a (..., 6) coefficient array; all matrices must be SPD."""
     vals, vecs = eigh_coeffs(coeffs)
-    return _coeffs_from_eig(_log_values(vals, "log_coeffs"), vecs)
+    return _coeffs_from_eig(_log_values(vals), vecs)
 
 
 def exp_coeffs(coeffs: np.ndarray) -> np.ndarray:

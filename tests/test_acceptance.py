@@ -25,8 +25,9 @@ from dtfield.field import (
     Mask,
     Objective,
     TensorField,
-    phi_regularizer,
-    theta_regularizer,
+    pairwise_energy,
+    phi_kernel_offsets,
+    theta_energy,
 )
 from dtfield.fileio import write_mask
 from dtfield.optim import SolverConfig, solve
@@ -117,18 +118,19 @@ def test_01_spd_geometry_property_suite():
     exponents = (1.1, 1.5, 2.0)
     for k in range(25):
         w = TensorField(exp_coeffs(rng.standard_normal((20, 20, 6)) * 0.7))
-        params = FunctionalParams(p=exponents[k % 3], s=0.5, l=1, n_rho=2)
-        base = phi_regularizer(w, params)
+        p = exponents[k % 3]
+        offsets = phi_kernel_offsets(20, 20, FunctionalParams(p=p, s=0.5, l=1, n_rho=2))
+        base = pairwise_energy(log_coeffs(w.coeffs), offsets, p)
         tol = 1e-9 * max(1.0, base)
         scaled = TensorField(w.coeffs * float(rng.uniform(0.2, 5.0)))
-        assert abs(phi_regularizer(scaled, params) - base) <= tol
+        assert abs(pairwise_energy(log_coeffs(scaled.coeffs), offsets, p) - base) <= tol
         inverted = TensorField(matrices_to_coeffs(
             np.linalg.inv(coeffs_to_matrices(w.coeffs, 3))))
-        assert abs(phi_regularizer(inverted, params) - base) <= tol
+        assert abs(pairwise_energy(log_coeffs(inverted.coeffs), offsets, p) - base) <= tol
         u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         rotated = TensorField(matrices_to_coeffs(
             np.einsum("ik,rckl,jl->rcij", u, coeffs_to_matrices(w.coeffs, 3), u)))
-        assert abs(phi_regularizer(rotated, params) - base) <= tol
+        assert abs(pairwise_energy(log_coeffs(rotated.coeffs), offsets, p) - base) <= tol
 
     # the Sobolev comparison term is translation and reflection invariant
     # (100 fields x 100 pixels = 10^4 random tensors per claim)
@@ -136,10 +138,10 @@ def test_01_spd_geometry_property_suite():
         coeffs = rng.standard_normal((10, 10, 6))
         shift = rng.standard_normal(6)
         p = (1.1, 2.0)[k % 2]
-        base = theta_regularizer(coeffs, p)
+        base = theta_energy(coeffs, p)
         tol = 1e-9 * max(1.0, base)
-        assert abs(theta_regularizer(coeffs + shift, p) - base) <= tol
-        assert abs(theta_regularizer(-coeffs, p) - base) <= tol
+        assert abs(theta_energy(coeffs + shift, p) - base) <= tol
+        assert abs(theta_energy(-coeffs, p) - base) <= tol
 
     # Exp/Log inverse pairs (one sample serves both directions: Log(Exp(S)) = S
     # and Exp(Log(A)) = A) up to log-norm 10: beyond it float64 coefficients

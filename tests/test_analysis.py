@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from dtfield import analysis
 from dtfield.analysis import (
     _fa_rgb,
     column_eigen_profile,
@@ -78,11 +79,19 @@ def test_snr_rejects_zero_field_and_shape_mismatch():
         snr(zeros, np.ones((2, 2, 6)))
     with pytest.raises(ValueError, match="differ"):
         snr(np.ones((2, 2, 6)), np.ones((2, 3, 6)))
+    with pytest.raises(ValueError, match=re.escape(
+            "expected (height, width, 6) coefficients, got (2, 6)")):
+        snr(np.ones((2, 6)), np.ones((2, 6)))
 
 
 # ---- log distances ----
 
-def test_log_distance_map_rejects_mismatched_shapes():
+def test_log_distance_map_rejects_mismatched_shapes(monkeypatch):
+    # the shapes used to be compared after a full-grid matrix log of each input
+    def never_called(*args):
+        raise AssertionError("log_coeffs ran before the shapes were compared")
+
+    monkeypatch.setattr(analysis, "log_coeffs", never_called)
     with pytest.raises(ValueError, match=re.escape("field shapes differ: (2, 2, 6) vs (2, 3, 6)")):
         log_distance_map(isotropic_field(2, 2, 1.0), isotropic_field(2, 3, 1.0))
 

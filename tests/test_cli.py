@@ -119,19 +119,43 @@ def test_generate_checks_out_before_the_work(tmp_path, capsys, monkeypatch, targ
     assert [path.name for path in tmp_path.iterdir()] == ["afile"]
 
 
-@pytest.mark.parametrize("extra", [
-    ["--epsilon", "0"], ["--epsilon", "-1"], ["--z", "0"],
-    ["--n", "16", "--sigma2", "6400", "--epsilon", "0"],
+@pytest.mark.parametrize("extra,message", [
+    (["--epsilon", "0"], "epsilon must be > 0, got 0.0"),
+    (["--epsilon", "-1"], "epsilon must be > 0, got -1.0"),
+    (["--z", "0"], "z must be > 0, got 0.0"),
+    (["--n", "16", "--sigma2", "6400", "--epsilon", "0"], "epsilon must be > 0, got 0.0"),
 ], ids=["epsilon-0", "epsilon-negative", "z-0", "epsilon-0-16x16"])
-def test_generate_rejects_non_positive_epsilon_and_z(tmp_path, capsys, extra):
+def test_generate_rejects_non_positive_epsilon_and_z(tmp_path, capsys, extra, message):
     # these exited 0 and wrote fields, the 16x16 one exited 2 with "matrix log
     # requires a positive definite matrix (min eigenvalue 0)"
     out = tmp_path / "out"
     code, stdout, err = run(capsys, "generate", "--n", "4", *extra, "--out", str(out))
     assert code == 2 and stdout == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: epsilon and z must be > 0, got ")
+    assert err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--z", "0", "z must be > 0, got 0.0"),
+    ("--z", "inf", "z must be finite, got inf"),
+    ("--epsilon", "0", "epsilon must be > 0, got 0.0"),
+    ("--epsilon", "nan", "epsilon must be finite, got nan"),
+], ids=["z-0", "z-inf", "epsilon-0", "epsilon-nan"])
+def test_epsilon_and_z_are_checked_once_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        flag, value, message):
+    # generate --z 0 printed "epsilon and z must be > 0, got 2.22045e-16 and 0"
+    # where denoise printed "z must be > 0, got 0.0", and generate --z inf
+    # simulated, added noise and fitted before "log_bound must be finite"
+    write_field(make_staircase_phantom(5), tmp_path / "in.dtf")
+    (tmp_path / "full.msk").write_text("MSK1 5 5\n" + "11111\n" * 5)
+    for name in ("simulate_dwis", "read_field", "solve"):
+        monkeypatch.setattr(cli, name, never_called)
+    out = tmp_path / "out"
+    for argv in (["generate", "--n", "4"], ["denoise", str(tmp_path / "in.dtf")],
+                 ["inpaint", str(tmp_path / "in.dtf"), "--mask", str(tmp_path / "full.msk")]):
+        code, stdout, err = run(capsys, *argv, flag, value, "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
 
 def test_generate_zero_noise_roundtrips(tmp_path, capsys):

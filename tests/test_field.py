@@ -13,19 +13,13 @@ from dtfield.field import (
     Objective,
     TensorField,
     build_mollifier,
-    fidelity,
     fidelity_energy,
-    from_log_coords,
-    functional_F,
-    functional_FC,
+    functional,
     pairwise_energy,
     phi_kernel_offsets,
-    phi_regularizer,
     theta_energy,
-    theta_regularizer,
 )
 from dtfield.spd import (
-    EPSILON_DEFAULT,
     coeffs_to_matrices,
     exp_coeffs,
     log_coeffs,
@@ -169,12 +163,12 @@ def test_tensor_field_rejects_malformed_input(coeffs, log_bound, message):
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda w: theta_regularizer(np.ones((2, 6)), 2.0),
-     "expected (height, width, 6) coefficients, got (2, 6)"),
+    (lambda w: functional(w, identity_field(2, 3), Mask.full(2, 2), FunctionalParams()),
+     "field 2x2 does not match data 2x3"),
     (lambda w: Mask(np.ones(3, dtype=bool)), "expected a 2-D mask, got shape (3,)"),
-    (lambda w: fidelity(w, w, Mask.full(2, 2), 2.0, metric="affine"),
-     "unknown metric 'affine', expected one of ('log-euclidean', 'euclidean')"),
-], ids=["grid-shape", "mask-1-d", "metric"])
+    (lambda w: functional(w, w, Mask.full(2, 2), FunctionalParams(), objective="affine"),
+     "objective must be one of ('f-log-euclidean', 'f-euclidean', 'fc'), got 'affine'"),
+], ids=["grid-shape", "mask-1-d", "objective"])
 def test_field_functions_reject_malformed_input(call, message):
     w = TensorField(np.tile([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], (2, 2, 1)))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -190,18 +184,18 @@ def test_mask_validation():
         m.values[0, 0] = False
 
 
-# ---- fidelity ----
+# ---- fidelity: functional at alpha = 0 ----
 
 def test_fidelity_zero_on_equal_fields():
     rng = np.random.default_rng(41)
     w = random_field(rng, 3, 3)
-    assert fidelity(w, w, Mask.full(3, 3), p=1.5) == 0.0
+    assert functional(w, w, Mask.full(3, 3), FunctionalParams(p=1.5, alpha=0.0)) == 0.0
 
 
 def test_fidelity_single_pixel_analytic():
     w = identity_field(1, 1)
     data = TensorField(np.array([[[np.e, 1.0, 1.0, 0, 0, 0]]]))
-    got = fidelity(w, data, Mask.full(1, 1), p=2.0, metric="log-euclidean")
+    got = functional(w, data, Mask.full(1, 1), FunctionalParams(p=2.0, alpha=0.0))
     assert abs(got - 1.0) < 1e-12
 
 
@@ -209,22 +203,25 @@ def test_fidelity_all_false_mask_is_empty_sum():
     rng = np.random.default_rng(42)
     w = random_field(rng, 2, 2)
     data = random_field(rng, 2, 2)
-    assert fidelity(w, data, np.zeros((2, 2), dtype=bool), p=2.0) == 0.0
+    assert functional(w, data, np.zeros((2, 2), dtype=bool),
+                      FunctionalParams(p=2.0, alpha=0.0)) == 0.0
 
 
 def test_fidelity_euclidean_metric():
     w = identity_field(1, 1)
     data = TensorField(np.array([[[2.0, 1.0, 1.0, 0, 0, 0]]]))
-    got = fidelity(w, data, Mask.full(1, 1), p=2.0, metric="euclidean")
+    got = functional(w, data, Mask.full(1, 1), FunctionalParams(p=2.0, alpha=0.0),
+                     objective="f-euclidean")
     assert abs(got - 1.0) < 1e-12  # Frobenius difference is the (1,1) entry
 
 
 def test_fidelity_dimension_mismatch():
     rng = np.random.default_rng(43)
+    params = FunctionalParams(p=2.0, alpha=0.0)
     with pytest.raises(ValueError):
-        fidelity(random_field(rng, 2, 2), random_field(rng, 2, 3), Mask.full(2, 2), 2.0)
+        functional(random_field(rng, 2, 2), random_field(rng, 2, 3), Mask.full(2, 2), params)
     with pytest.raises(ValueError):
-        fidelity(random_field(rng, 2, 2), random_field(rng, 2, 2), Mask.full(3, 3), 2.0)
+        functional(random_field(rng, 2, 2), random_field(rng, 2, 2), Mask.full(3, 3), params)
 
 
 def test_fidelity_monotone_under_mask_removal():
@@ -232,13 +229,14 @@ def test_fidelity_monotone_under_mask_removal():
     w = random_field(rng, 4, 4)
     data = random_field(rng, 4, 4)
     mask = np.ones((4, 4), dtype=bool)
-    value = fidelity(w, data, mask, p=1.3)
+    params = FunctionalParams(p=1.3, alpha=0.0)
+    value = functional(w, data, mask, params)
     order = [(r, c) for r in range(4) for c in range(4)]
     rng.shuffle(order)
     for r, c in order[:10]:
         mask = mask.copy()
         mask[r, c] = False
-        smaller = fidelity(w, data, mask, p=1.3)
+        smaller = functional(w, data, mask, params)
         assert smaller <= value + 1e-15
         value = smaller
 
@@ -248,13 +246,14 @@ def test_fidelity_monotone_under_mask_removal():
 def test_phi_constant_field_is_zero():
     w = identity_field(3, 3)
     params = FunctionalParams(p=1.1, s=0.5, l=0)
-    assert phi_regularizer(w, params) == 0.0
+    assert pairwise_energy(log_coeffs(w.coeffs), phi_kernel_offsets(3, 3, params), params.p) == 0.0
 
 
 def test_phi_single_pair_analytic():
     w = pair_field(I_COEFFS, E2_COEFFS)
     params = FunctionalParams(p=2.0, s=0.5, l=0)
-    assert abs(phi_regularizer(w, params) - 8.0) < 1e-12
+    got = pairwise_energy(log_coeffs(w.coeffs), phi_kernel_offsets(1, 2, params), params.p)
+    assert abs(got - 8.0) < 1e-12
 
 
 def test_phi_matches_brute_force_all_pairs():
@@ -262,8 +261,9 @@ def test_phi_matches_brute_force_all_pairs():
     w = random_field(rng, 4, 4)
     for p, s in ((1.1, 0.5), (2.0, 0.25)):
         params = FunctionalParams(p=p, s=s, l=0)
-        for metric in ("log-euclidean", "euclidean"):
-            got = phi_regularizer(w, params, metric=metric)
+        offsets = phi_kernel_offsets(4, 4, params)
+        for metric, rep in (("log-euclidean", log_coeffs(w.coeffs)), ("euclidean", w.coeffs)):
+            got = pairwise_energy(rep, offsets, p)
             want = brute_force_phi(w, params, metric)
             assert abs(got - want) <= 1e-11 * max(1.0, want)
 
@@ -272,8 +272,9 @@ def test_phi_matches_brute_force_mollified():
     rng = np.random.default_rng(46)
     w = random_field(rng, 5, 4)
     params = FunctionalParams(p=1.5, s=0.4, l=1, n_rho=2)
-    for metric in ("log-euclidean", "euclidean"):
-        got = phi_regularizer(w, params, metric=metric)
+    offsets = phi_kernel_offsets(5, 4, params)
+    for metric, rep in (("log-euclidean", log_coeffs(w.coeffs)), ("euclidean", w.coeffs)):
+        got = pairwise_energy(rep, offsets, params.p)
         want = brute_force_phi(w, params, metric)
         assert abs(got - want) <= 1e-11 * max(1.0, want)
 
@@ -283,8 +284,9 @@ def test_phi_scale_invariant_log_metric():
     w = random_field(rng, 3, 3)
     scaled = TensorField(w.coeffs * 3.0)
     params = FunctionalParams(p=1.1, s=0.5, l=1, n_rho=2)
-    a = phi_regularizer(w, params)
-    b = phi_regularizer(scaled, params)
+    offsets = phi_kernel_offsets(3, 3, params)
+    a = pairwise_energy(log_coeffs(w.coeffs), offsets, params.p)
+    b = pairwise_energy(log_coeffs(scaled.coeffs), offsets, params.p)
     assert abs(a - b) <= 1e-9 * max(1.0, a)
 
 
@@ -293,8 +295,9 @@ def test_phi_inversion_invariant_log_metric():
     w = random_field(rng, 3, 3)
     inverted = TensorField(exp_coeffs(-log_coeffs(w.coeffs)))
     params = FunctionalParams(p=1.4, s=0.5, l=0)
-    a = phi_regularizer(w, params)
-    b = phi_regularizer(inverted, params)
+    offsets = phi_kernel_offsets(3, 3, params)
+    a = pairwise_energy(log_coeffs(w.coeffs), offsets, params.p)
+    b = pairwise_energy(log_coeffs(inverted.coeffs), offsets, params.p)
     assert abs(a - b) <= 1e-9 * max(1.0, a)
 
 
@@ -304,10 +307,11 @@ def test_phi_unitary_invariant_both_metrics():
     u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     mats = np.einsum("ik,rckl,jl->rcij", u, coeffs_to_matrices(w.coeffs, 3), u)
     rotated = TensorField(matrices_to_coeffs(mats))
-    params = FunctionalParams(p=1.1, s=0.5, l=1, n_rho=2)
-    for metric in ("log-euclidean", "euclidean"):
-        a = phi_regularizer(w, params, metric=metric)
-        b = phi_regularizer(rotated, params, metric=metric)
+    offsets = phi_kernel_offsets(3, 3, FunctionalParams(p=1.1, s=0.5, l=1, n_rho=2))
+    for rep, rotated_rep in ((log_coeffs(w.coeffs), log_coeffs(rotated.coeffs)),
+                             (w.coeffs, rotated.coeffs)):
+        a = pairwise_energy(rep, offsets, 1.1)
+        b = pairwise_energy(rotated_rep, offsets, 1.1)
         assert abs(a - b) <= 1e-9 * max(1.0, a)
 
 
@@ -315,9 +319,9 @@ def test_phi_euclidean_scale_invariance_fails():
     rng = np.random.default_rng(50)
     w = random_field(rng, 3, 3)
     scaled = TensorField(w.coeffs * 2.0)
-    params = FunctionalParams(p=2.0, s=0.5, l=0)
-    a = phi_regularizer(w, params, metric="euclidean")
-    b = phi_regularizer(scaled, params, metric="euclidean")
+    offsets = phi_kernel_offsets(3, 3, FunctionalParams(p=2.0, s=0.5, l=0))
+    a = pairwise_energy(w.coeffs, offsets, 2.0)
+    b = pairwise_energy(scaled.coeffs, offsets, 2.0)
     assert b > 1.5 * a  # scales like 2^p, so invariance is clearly violated
 
 
@@ -339,7 +343,7 @@ def test_phi_mollifier_gating_consistency():
     weight = 1.0 / 41.0  # uniform over the 41 offsets of the radius-4 disk
     constant = [(di, dj, weight / math.hypot(di, dj) ** exponent) for di, dj, _ in windowed]
     gated = pairwise_energy(log_coeffs(w.coeffs), constant, params1.p)
-    allpairs = phi_regularizer(w, params0)
+    allpairs = pairwise_energy(log_coeffs(w.coeffs), phi_kernel_offsets(3, 3, params0), params0.p)
     assert abs(gated / weight - allpairs) <= 1e-11 * max(1.0, allpairs)
 
 
@@ -351,27 +355,45 @@ def test_functional_f_alpha_zero_equals_fidelity():
     data = random_field(rng, 3, 3)
     params = FunctionalParams(p=1.1, s=0.5, alpha=0.0, l=0)
     mask = Mask.full(3, 3)
-    assert functional_F(w, data, mask, params) == fidelity(w, data, mask, params.p)
-    assert functional_F(data, data, mask, params) == 0.0
+    fidelity = fidelity_energy(log_coeffs(w.coeffs), log_coeffs(data.coeffs), mask.values,
+                               params.p)
+    assert functional(w, data, mask, params) == fidelity
+    assert functional(data, data, mask, params) == 0.0
 
 
 def test_functional_f_single_pair_composite():
     w = pair_field(I_COEFFS, E2_COEFFS)
     params = FunctionalParams(p=2.0, s=0.5, alpha=0.5, l=0)
-    got = functional_F(w, w, Mask.full(1, 2), params)
+    got = functional(w, w, Mask.full(1, 2), params)
     assert abs(got - 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["f-log-euclidean", "f-euclidean", "fc"])
+def test_functional_is_the_objective_value_at_the_field(kind):
+    rng = np.random.default_rng(63)
+    w = random_field(rng, 3, 4)
+    data = random_field(rng, 3, 4)
+    mask = rng.random((3, 4)) > 0.4
+    mask[0, 0], mask[1, 2] = True, False
+    coords = log_coeffs(w.coeffs) if kind == "f-log-euclidean" else w.coeffs
+    for p in (1.1, 2.0):
+        for l in (0, 1):
+            params = FunctionalParams(p=p, s=0.5, alpha=0.7, beta=0.4, l=l, n_rho=2)
+            got = functional(w, data, Mask(mask), params, objective=kind)
+            assert type(got) is float
+            assert got == Objective(kind, data, mask, params).value(coords)
 
 
 # ---- theta and F_C ----
 
 def test_theta_constant_field_is_zero():
-    assert theta_regularizer(identity_field(3, 3), p=2.0) == 0.0
+    assert theta_energy(identity_field(3, 3).coeffs, 2.0) == 0.0
 
 
 def test_theta_single_difference_analytic():
     coeffs = np.zeros((1, 2, 6))
     coeffs[0, 1, :3] = 1.0
-    assert abs(theta_regularizer(coeffs, p=2.0) - 3.0) < 1e-15
+    assert abs(theta_energy(coeffs, 2.0) - 3.0) < 1e-15
 
 
 def test_theta_translation_and_reflection_invariance():
@@ -379,9 +401,9 @@ def test_theta_translation_and_reflection_invariance():
     coeffs = rng.standard_normal((4, 5, 6))
     shift = rng.standard_normal(6)
     for p in (1.1, 2.0):
-        base = theta_regularizer(coeffs, p)
-        assert abs(theta_regularizer(coeffs + shift, p) - base) <= 1e-12 * max(1.0, base)
-        assert abs(theta_regularizer(-coeffs, p) - base) <= 1e-12 * max(1.0, base)
+        base = theta_energy(coeffs, p)
+        assert abs(theta_energy(coeffs + shift, p) - base) <= 1e-12 * max(1.0, base)
+        assert abs(theta_energy(-coeffs, p) - base) <= 1e-12 * max(1.0, base)
 
 
 def test_theta_brute_force():
@@ -400,7 +422,7 @@ def test_theta_brute_force():
                 d = coeffs[r + 1, c] - coeffs[r, c]
                 gsq += float((w * d * d).sum())
             total += gsq ** (p / 2.0)
-    assert abs(theta_regularizer(coeffs, p) - total) <= 1e-12 * max(1.0, total)
+    assert abs(theta_energy(coeffs, p) - total) <= 1e-12 * max(1.0, total)
 
 
 def test_functional_fc_zero_cases():
@@ -408,10 +430,10 @@ def test_functional_fc_zero_cases():
     data = random_field(rng, 3, 3)
     mask = Mask.full(3, 3)
     params = FunctionalParams(p=2.0, s=0.5, beta=0.0)
-    assert functional_FC(data, data, mask, params) == 0.0
+    assert functional(data, data, mask, params, objective="fc") == 0.0
     constant = identity_field(3, 3)
     params2 = FunctionalParams(p=2.0, s=0.5, beta=7.0)
-    assert functional_FC(constant, constant, mask, params2) == 0.0
+    assert functional(constant, constant, mask, params2, objective="fc") == 0.0
 
 
 def test_functional_fc_brute_force():
@@ -421,14 +443,14 @@ def test_functional_fc_brute_force():
     mask_values = rng.random((3, 3)) > 0.3
     mask_values[0, 0] = True
     params = FunctionalParams(p=1.6, s=0.5, beta=0.8)
-    got = functional_FC(w, data, Mask(mask_values), params)
+    got = functional(w, data, Mask(mask_values), params, objective="fc")
     expected = 0.0
     for r in range(3):
         for c in range(3):
             if mask_values[r, c]:
                 diff = coeffs_to_matrices(w.coeffs[r, c] - data.coeffs[r, c])
                 expected += ((diff ** 2).sum()) ** (params.p / 2.0)
-    expected += params.beta * theta_regularizer(w.coeffs, params.p)
+    expected += params.beta * theta_energy(w.coeffs, params.p)
     assert abs(got - expected) <= 1e-11 * max(1.0, expected)
 
 
@@ -441,15 +463,19 @@ def test_log_coords_identity_field():
 def test_log_coords_roundtrip():
     rng = np.random.default_rng(57)
     w = random_field(rng, 4, 4, scale=1.5)
-    back = from_log_coords(log_coeffs(w.coeffs), w.log_bound, EPSILON_DEFAULT)
+    objective = Objective("f-log-euclidean", w, Mask.full(4, 4),
+                          FunctionalParams(z=w.log_bound))
+    back = objective.finish(log_coeffs(w.coeffs))
     assert np.abs(back.coeffs - w.coeffs).max() <= 1e-9 * max(1.0, np.abs(w.coeffs).max())
 
 
-def test_from_log_coords_clamps_to_ball():
+def test_finish_clamps_logs_to_ball():
     logs = np.zeros((1, 1, 6))
     logs[0, 0, :3] = [30.0, -20.0, 10.0]  # norm sqrt(1400) > 36... scaled
     logs *= 2.0
-    w = from_log_coords(logs, 36.0, EPSILON_DEFAULT)
+    objective = Objective("f-log-euclidean", identity_field(1, 1), Mask.full(1, 1),
+                          FunctionalParams(z=36.0))
+    w = objective.finish(logs)
     out_norm = np.sqrt(weighted_norm_sq(log_coeffs(w.coeffs)))
     assert abs(out_norm.max() - 36.0) < 1e-6
 

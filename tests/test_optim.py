@@ -12,8 +12,7 @@ from dtfield.field import (
     Mask,
     Objective,
     TensorField,
-    functional_F,
-    functional_FC,
+    functional,
 )
 from dtfield import optim
 from dtfield.optim import (
@@ -524,15 +523,13 @@ def test_final_objective_matches_public_functionals(objective):
     params = FunctionalParams(p=1.3, alpha=0.4, beta=0.6, s=0.5, l=1, n_rho=2)
     out, report = solve(data, Mask(mask), params, objective=objective,
                         config=SolverConfig(max_iters=20))
-    if objective == "fc":
-        assert report.final_objective == functional_FC(out, data, mask, params)
-    elif objective == "f-euclidean":
-        assert report.final_objective == functional_F(out, data, mask, params, metric="euclidean")
-    else:
+    got = functional(out, data, mask, params, objective=objective)
+    if objective == "f-log-euclidean":
         # the returned field is Exp of the solver's log coordinates, and
         # Log(Exp(L)) is not bit-exact
-        got = functional_F(out, data, mask, params)
         assert abs(got - report.final_objective) <= 1e-12 * abs(report.final_objective)
+    else:
+        assert got == report.final_objective
 
 
 def test_p2_solutions_nonexpansive_in_data():

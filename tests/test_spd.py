@@ -3,6 +3,7 @@ log-Euclidean distance, projections, and fractional anisotropy."""
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -442,9 +443,13 @@ def test_project_full_rejects_non_positive_epsilon_and_z():
     # a floor at 0 let log() meet a zero eigenvalue: "matrix log requires a
     # positive definite matrix (min eigenvalue 0)"
     for kernel in FLOORED.values():
-        for epsilon, z in ((0.0, 36.0), (-1.0, 36.0), (np.nan, 36.0), (1e-3, 0.0),
-                           (1e-3, -2.0)):
-            with pytest.raises(ValueError, match="^epsilon and z must be > 0"):
+        for epsilon, z, message in ((0.0, 36.0, "epsilon must be > 0, got 0.0"),
+                                    (-1.0, 36.0, "epsilon must be > 0, got -1.0"),
+                                    (np.nan, 36.0, "epsilon must be finite, got nan"),
+                                    (1e-3, 0.0, "z must be > 0, got 0.0"),
+                                    (1e-3, -2.0, "z must be > 0, got -2.0"),
+                                    (1e-3, np.inf, "z must be finite, got inf")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 kernel(epsilon, z)
 
 

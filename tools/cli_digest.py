@@ -27,9 +27,10 @@ generate at seed 2, which exits 2 because a noisy fit breaks the log-bound.
 Then the usage errors, each exiting 2: generate with --n x, --phantom helix
 and --threads 0; generate from a --config file (bad.cfg) holding phantom =
 helix; a denoise of the 6x6 data with --objective bogus; generate with --out
-naming the existing file hole.msk; generate with --epsilon 0, which writes
-nothing (no e0 directory); and a denoise of the 6x6 data whose --out names the
-existing directory g6. Standard library only; not part of the test suite.
+naming the existing file hole.msk; and a denoise of the 6x6 data whose --out
+names the existing directory g6.  Last, generate, denoise and inpaint each with
+--z 0, --z inf, --epsilon 0 and --epsilon nan: every one exits 2 and writes
+nothing.  Standard library only; not part of the test suite.
 """
 from __future__ import annotations
 
@@ -91,9 +92,15 @@ MATRIX += [
     "generate --config bad.cfg --out bad",
     "denoise g6/noisy.dtf --objective bogus --out g6/bogus.dtf",
     "generate --n 4 --out hole.msk",
-    "generate --n 4 --epsilon 0 --out e0",
     "denoise g6/noisy.dtf --iters 40 --out g6",
 ]
+# the epsilon/z guard: each command exits 2 with one error line and writes nothing
+for _flag, _value, _name in (("z", "0", "z0"), ("z", "inf", "zinf"),
+                             ("epsilon", "0", "e0"), ("epsilon", "nan", "enan")):
+    MATRIX += [f"generate --n 4 --{_flag} {_value} --out {_name}",
+               f"denoise g6/noisy.dtf --{_flag} {_value} --out g6/{_name}.dtf",
+               f"inpaint data/noisy.dtf --mask hole.msk --{_flag} {_value}"
+               f" --out {_name}.dtf"]
 
 
 def sha256(data: bytes) -> str:
