@@ -27,6 +27,7 @@ from .spd import (
     EPSILON_DEFAULT,
     LOG_BOUND_DEFAULT,
     _W3,
+    _certified_feasible,
     _check_floor_in_ball,
     eigh_coeffs,
     exp_coeffs,
@@ -48,6 +49,7 @@ class TensorField:
     coeffs has shape (height, width, 6) in the layout
     [a11, a22, a33, a12, a13, a23]; every pixel must be strictly positive
     definite with ||Log||_F <= log_bound (small absolute rounding slack).
+    Only pixels that spd._certified_feasible cannot prove valid are decomposed.
     """
 
     coeffs: np.ndarray
@@ -64,21 +66,24 @@ class TensorField:
         bound = float(self.log_bound)
         if not np.isfinite(bound) or bound < 0.0:
             raise ValueError(f"log_bound must be finite and >= 0, got {bound}")
-        vals, _ = eigh_coeffs(coeffs)
-        if vals[..., -1].min() <= 0.0:
-            bad = np.unravel_index(int(np.argmin(vals[..., -1])), coeffs.shape[:2])
-            raise ValueError(
-                f"pixel (row {bad[0]}, col {bad[1]}) is not positive definite "
-                f"(min eigenvalue {vals[..., -1].min():g}); project the field first"
-            )
-        logs = np.log(vals)  # every eigenvalue is > 0, checked above
-        lognorms = np.sqrt((logs * logs).sum(axis=-1))
-        if lognorms.max() > bound + _BOUND_SLACK:
-            bad = np.unravel_index(int(np.argmax(lognorms)), coeffs.shape[:2])
-            raise ValueError(
-                f"pixel (row {bad[0]}, col {bad[1]}) has ||Log||_F = "
-                f"{lognorms.max():.6g} > bound {bound:g}"
-            )
+        # selection keeps row-major order: a message names the first bad pixel
+        todo = np.flatnonzero(~_certified_feasible(coeffs, 0.0, bound))
+        if todo.size:
+            vals, _ = eigh_coeffs(coeffs.reshape(-1, 6)[todo])
+            if vals[:, -1].min() <= 0.0:
+                bad = np.unravel_index(todo[np.argmin(vals[:, -1])], coeffs.shape[:2])
+                raise ValueError(
+                    f"pixel (row {bad[0]}, col {bad[1]}) is not positive definite "
+                    f"(min eigenvalue {vals[:, -1].min():g}); project the field first"
+                )
+            logs = np.log(vals)  # every eigenvalue is > 0, checked above
+            lognorms = np.sqrt((logs * logs).sum(axis=-1))
+            if lognorms.max() > bound + _BOUND_SLACK:
+                bad = np.unravel_index(todo[np.argmax(lognorms)], coeffs.shape[:2])
+                raise ValueError(
+                    f"pixel (row {bad[0]}, col {bad[1]}) has ||Log||_F = "
+                    f"{lognorms.max():.6g} > bound {bound:g}"
+                )
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "log_bound", bound)
@@ -376,8 +381,9 @@ class Objective:
         project_full_coeffs(0), so the data is not decomposed again."""
         if init is None:
             x = self.target.copy()
-            floor = project_full_coeffs(np.zeros(6), self.params.epsilon, self.params.z)
-            x[~self.mask_values] = log_coeffs(floor) if self.log_mode else floor
+            if not self.mask_values.all():
+                floor = project_full_coeffs(np.zeros(6), self.params.epsilon, self.params.z)
+                x[~self.mask_values] = log_coeffs(floor) if self.log_mode else floor
         else:
             x = self._coords(init)
         return self.project(x)

@@ -35,9 +35,12 @@ tolerance.
 All three objectives are convex in the iterate's coordinates, so
 f(x) - f(trial) <= <grad, x - trial>.  A ladder therefore skips,
 unevaluated, every trial whose bound falls short of the decrease threshold
-by half of it (_ruled_out): the run would have rejected it anyway, so
-accepted steps and results are unchanged and only evaluations fall.  A plain
-ladder that would end on a skipped trial evaluates it, for the plateau test.
+by half of it (_ruled_out).  The warm and fresh ladders of one iteration
+share x and direction, so a step one of them evaluated is not evaluated
+again.  The run would have rejected every skipped trial anyway, so accepted
+steps and results are unchanged and only evaluations fall.  A plain ladder
+that would end on a skipped trial evaluates it for the plateau test, unless
+a trial of the iteration already passes that test.
 
 A ladder's first trial, the one most iterations accept, is evaluated
 together with its gradient (Objective.value_grad, whose value has the bits of
@@ -159,11 +162,13 @@ class SolveReport:
     objective_trajectory[0] is the objective at the initial point; one entry
     follows per accepted iteration, never increasing.  evaluations counts the
     objective values: the initial one and one per evaluated line-search
-    trial (trials that convexity rules out are skipped and not counted); a
-    first trial evaluated with its gradient counts once, and a gradient at an
-    iterate that no trial supplied is not counted;
-    quasi_newton_steps counts the iterations whose accepted step came from
-    the L-BFGS ladder, always 0 outside log mode.
+    trial (skipped trials are not counted); a first trial evaluated with its
+    gradient counts once, and a gradient at an iterate that no trial supplied
+    is not counted; quasi_newton_steps counts the iterations whose accepted
+    step came from the L-BFGS ladder, always 0 outside log mode.  solve sets
+    stop_reason: "stationary" (zero gradient), "tolerance" (the fresh plain
+    ladder failed at a plateau) or "max_iters"; converged is stop_reason !=
+    "max_iters".
     """
 
     iterations: int
@@ -173,6 +178,7 @@ class SolveReport:
     seconds: float
     evaluations: int = 0
     quasi_newton_steps: int = 0
+    stop_reason: str | None = None
 
     def __post_init__(self):
         traj = [float(v) for v in self.objective_trajectory]
@@ -185,6 +191,12 @@ class SolveReport:
             raise ValueError("objective trajectory is not non-increasing")
         if traj[-1] != self.final_objective:
             raise ValueError("final_objective does not match the trajectory")
+        if self.stop_reason not in (None, "stationary", "tolerance", "max_iters"):
+            raise ValueError(f"stop_reason {self.stop_reason!r} is not 'stationary', "
+                             f"'tolerance', 'max_iters' or None")
+        if self.stop_reason is not None and self.converged == (self.stop_reason == "max_iters"):
+            raise ValueError(f"stop_reason {self.stop_reason!r} contradicts converged = "
+                             f"{self.converged}")
         object.__setattr__(self, "objective_trajectory", traj)
 
     def to_json_dict(self) -> dict:
@@ -218,27 +230,30 @@ def solve(data: TensorField, mask, params: FunctionalParams,
     started = time.perf_counter()
     pack = Objective(objective, data, mask, params)
 
-    def ladder(direction, step, rungs):
+    def flat(tried):
+        """The plateau test: some trial of tried does not ascend past rounding."""
+        return any(v <= current + _PLATEAU_REL * max(1.0, abs(current)) for v in tried.values())
+
+    def ladder(direction, step, rungs, tried):
         """Backtrack over the trials P(x - step * direction), halving step at
         most rungs times, until a trial satisfies the Armijo condition and
-        lowers f(x) by the threshold.  Trials that convexity rules out are
-        skipped, but a ladder of _MAX_BACKTRACKS rungs evaluates its last
-        trial if it would otherwise end on a skip; a trial point that
-        overflows is rejected unprojected.  The first trial is evaluated
+        lowers f(x) by the threshold.  tried maps each step this iteration
+        evaluated along direction to its value; steps in it, and trials that
+        convexity rules out, are skipped (module docstring); a trial point
+        that overflows is rejected unprojected.  The first trial is evaluated
         with its gradient.  The next start step is _GROW times the accepted
-        step if the first trial was evaluated and accepted, else the
-        accepted step.  Returns the accepted (point, value, next start step,
-        gradient at the point or None) or None, and the best trial value."""
+        step if the first trial was evaluated and accepted, else the accepted
+        step.  Returns the accepted (point, value, next start
+        step, gradient at the point or None), or None."""
         nonlocal evaluations
-        best = np.inf
         for rung in range(rungs + 1):
-            point = x - step * direction
-            if not np.isfinite(point).all():  # overflowed: a rejected rung, not projected
+            point = None if step in tried else x - step * direction
+            if point is None or not np.isfinite(point).all():  # seen, or overflowed
                 step *= _BACKTRACK
                 continue
             candidate = pack.project(point)
             slope = _dot(grad, candidate - x)
-            if rung < _MAX_BACKTRACKS and _ruled_out(-slope, threshold, current):
+            if _ruled_out(-slope, threshold, current) and (rung < _MAX_BACKTRACKS or flat(tried)):
                 step *= _BACKTRACK
                 continue
             if rung == 0:
@@ -246,11 +261,11 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             else:
                 trial, trial_grad = float(pack.value(candidate)), None
             evaluations += 1
-            best = min(best, trial)
+            tried[step] = trial
             if current - trial >= threshold and trial <= current + _ARMIJO_C * slope:
-                return (candidate, trial, step * _GROW if rung == 0 else step, trial_grad), best
+                return candidate, trial, step * _GROW if rung == 0 else step, trial_grad
             step *= _BACKTRACK
-        return None, best
+        return None
 
     x = pack.start(init)
     current = float(pack.value(x))
@@ -258,7 +273,7 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         raise OverflowError(f"objective {current} at the start point; "
                             f"alpha, beta or p may be too large")
     trajectory = [current]
-    converged = False
+    stop_reason = "max_iters"
     evaluations = 1
     quasi_newton_steps = 0
     history = _History() if pack.log_mode else None
@@ -271,8 +286,8 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         if not np.isfinite(grad).all():
             raise OverflowError(f"gradient not finite at iteration {iteration + 1} (objective "
                                 f"{current:.6g}); alpha, beta or p may be too large")
-        if not np.abs(grad / _W3).max() > 0.0:
-            converged = True  # exact stationary point of a convex objective
+        if not grad.any():
+            stop_reason = "stationary"  # exact stationary point of a convex objective
             break
         accepted = None
         if history is not None:
@@ -281,23 +296,23 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             if history.pairs:
                 direction = history.direction(grad)
                 if _dot(grad, direction) > 0.0:  # -H grad is a descent direction
-                    accepted, _ = ladder(direction, 1.0, _QN_HALVINGS)
+                    accepted = ladder(direction, 1.0, _QN_HALVINGS, {})
         if accepted is not None:
             quasi_newton_steps += 1
         else:
             direction = grad / _W3  # Frobenius-geometry gradient
-            best_trial = np.inf
+            tried = {}  # shared by the warm and the fresh ladder
             for step in (start,) if start == fresh else (start, fresh):  # warm, then fresh
-                accepted, best = ladder(direction, step, _MAX_BACKTRACKS)
-                best_trial = min(best_trial, best)
+                accepted = ladder(direction, step, _MAX_BACKTRACKS, tried)
                 if accepted is not None:
                     break
             if accepted is None:
                 # the fresh ladder failed too, as a re-solve from x would: stop.  That is
                 # convergence unless every trial ascended past rounding (ill-scaled weight)
-                if best_trial <= current + _PLATEAU_REL * max(1.0, abs(current)):
-                    converged = True
+                if flat(tried):
+                    stop_reason = "tolerance"
                     break
+                best_trial = min(tried.values(), default=np.inf)
                 raise LineSearchError(
                     f"no acceptable step after {_MAX_BACKTRACKS} backtracks at iteration "
                     f"{iteration + 1} (objective {current:.6g}, best trial {best_trial:.6g}); "
@@ -312,9 +327,10 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         iterations=len(trajectory) - 1,
         objective_trajectory=trajectory,
         final_objective=trajectory[-1],
-        converged=converged,
+        converged=stop_reason != "max_iters",
         seconds=time.perf_counter() - started,
         evaluations=evaluations,
         quasi_newton_steps=quasi_newton_steps,
+        stop_reason=stop_reason,
     )
     return result, report

@@ -167,6 +167,17 @@ def test_generate_zero_noise_roundtrips(tmp_path, capsys):
     assert log_distance_map(orig, noisy).max() < 1e-8
 
 
+@pytest.mark.parametrize("seed,pixel", [(2, "row 25, col 60"), (7, "row 63, col 63")])
+def test_generate_log_bound_fault_keeps_its_message(tmp_path, capsys, seed, pixel):
+    # ROADMAP item 1: a noisy 64x64 fit that float64 cannot store inside the
+    # z = 36 ball; the certificate-first validation names the same pixel
+    code, stdout, err = run(capsys, "generate", "--n", "64", "--sigma2", "1600",
+                            "--seed", str(seed), "--out", str(tmp_path / "g"))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: pixel ({pixel}) has ||Log||_F = 36 > bound 36\n"
+
+
 def test_generate_rejects_unknown_phantom(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--phantom", "helix", "--out", str(tmp_path))
     assert code == 2

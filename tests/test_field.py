@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from dtfield import field
 from dtfield.field import (
     FunctionalParams,
     Mask,
@@ -20,12 +21,15 @@ from dtfield.field import (
     theta_energy,
 )
 from dtfield.spd import (
+    _coeffs_from_eig,
     coeffs_to_matrices,
+    eigh_coeffs,
     exp_coeffs,
     log_coeffs,
     matrices_to_coeffs,
     weighted_norm_sq,
 )
+from dtfield.synth import make_staircase_phantom
 
 
 def random_field(rng, height, width, scale=0.7):
@@ -147,6 +151,79 @@ def test_tensor_field_rejects_out_of_ball_pixel():
     coeffs[0, 1, 0] = np.exp(4.0)
     with pytest.raises(ValueError, match="bound"):
         TensorField(coeffs, log_bound=3.0)
+
+
+def full_validation_error(coeffs, bound):
+    """The message TensorField(coeffs, bound) must raise, or None: the check
+    with every pixel decomposed, as it read before the certificate."""
+    vals, _ = eigh_coeffs(coeffs)
+    if vals[..., -1].min() <= 0.0:
+        bad = np.unravel_index(int(np.argmin(vals[..., -1])), coeffs.shape[:2])
+        return (f"pixel (row {bad[0]}, col {bad[1]}) is not positive definite "
+                f"(min eigenvalue {vals[..., -1].min():g}); project the field first")
+    logs = np.log(vals)
+    lognorms = np.sqrt((logs * logs).sum(axis=-1))
+    if lognorms.max() > bound + 1e-9:
+        bad = np.unravel_index(int(np.argmax(lognorms)), coeffs.shape[:2])
+        return (f"pixel (row {bad[0]}, col {bad[1]}) has ||Log||_F = "
+                f"{lognorms.max():.6g} > bound {bound:g}")
+    return None
+
+
+def spectral_field(rng, height, width, bound, kind):
+    """Randomly rotated pixels with log-spectra of spread bound / 6; about
+    15% of them are replaced by pixels of kind: on the bound's sphere up to
+    1e-3 either side of it, near-singular, or indefinite or singular."""
+    n = height * width
+    vals = np.exp(rng.normal(scale=bound / 6, size=(n, 3)))
+    special = rng.random(n) < 0.15
+    k = int(special.sum())
+    if kind == "near-bound":
+        u = rng.standard_normal((k, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        offset = rng.choice([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3], k)
+        vals[special] = np.exp(u * (bound + offset)[:, None])
+    elif kind == "near-singular":
+        vals[special, 2] = 10.0 ** rng.uniform(-300, -8, k)
+    elif kind == "indefinite":
+        vals[special, 2] = -(10.0 ** rng.uniform(-300, 0, k)) * rng.choice([1.0, 0.0], k)
+    q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return _coeffs_from_eig(vals, q).reshape(height, width, 6)
+
+
+@pytest.mark.parametrize("bound", [5.0, 36.0, 100.0])
+@pytest.mark.parametrize("kind", ["in-ball", "near-bound", "near-singular", "indefinite"])
+def test_tensor_field_validates_as_the_full_decomposition_does(kind, bound):
+    # only the pixels the certificate cannot prove valid are decomposed; a
+    # field is accepted or rejected as with every pixel decomposed, and a
+    # rejection names the same pixel and value
+    rng = np.random.default_rng([60, int(bound)])
+    outcomes = set()
+    for _ in range(40):
+        coeffs = spectral_field(rng, 3, 4, bound, kind)
+        expected = full_validation_error(coeffs, bound)
+        if expected is None:
+            TensorField(coeffs, bound)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                TensorField(coeffs, bound)
+        outcomes.add(expected is None)
+    assert outcomes == ({True} if (kind, bound) in {("in-ball", 5.0), ("in-ball", 36.0)}
+                        else {True, False})
+
+
+def test_tensor_field_decomposes_no_pixel_of_the_staircase(monkeypatch):
+    coeffs = make_staircase_phantom(64).coeffs
+    seen = []
+    monkeypatch.setattr(field, "eigh_coeffs", lambda c: seen.append(c.shape) or eigh_coeffs(c))
+    TensorField(coeffs)
+    assert seen == []
+    coeffs = coeffs.copy()
+    coeffs[5, 7, 1] = -1.0
+    with pytest.raises(ValueError, match=r"^pixel \(row 5, col 7\) is not positive definite"):
+        TensorField(coeffs)
+    assert seen == [(1, 6)]
 
 
 @pytest.mark.parametrize("coeffs,log_bound,message", [

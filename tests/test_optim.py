@@ -119,11 +119,40 @@ def test_report_json_keys():
                          quasi_newton_steps=1)
     payload = report.to_json_dict()
     assert list(payload) == ["iterations", "objective_trajectory", "final_objective",
-                             "converged", "seconds", "evaluations", "quasi_newton_steps"]
+                             "converged", "seconds", "evaluations", "quasi_newton_steps",
+                             "stop_reason"]
     assert payload["objective_trajectory"] == [3.0, 2.0, 1.5]
     assert payload["converged"] is True
     assert payload["evaluations"] == 5
     assert payload["quasi_newton_steps"] == 1
+
+
+@pytest.mark.parametrize("stop_reason,converged", [
+    ("max_iters", True), ("tolerance", False), ("stationary", False)])
+def test_report_rejects_a_stop_reason_that_contradicts_converged(stop_reason, converged):
+    with pytest.raises(ValueError, match="contradicts converged"):
+        SolveReport(0, [1.0], 1.0, converged, 0.0, stop_reason=stop_reason)
+
+
+@pytest.mark.parametrize("converged", [True, False])
+def test_report_rejects_an_unknown_stop_reason(converged):
+    with pytest.raises(ValueError, match="'plateau' is not 'stationary', 'tolerance', "
+                                         "'max_iters' or None"):
+        SolveReport(0, [1.0], 1.0, converged, 0.0, stop_reason="plateau")
+
+
+def test_stop_reason_names_each_exit():
+    # alpha = 0 on a full mask starts at the minimizer, where the gradient is zero
+    data = random_field(4, 5, seed=1)
+    _, report = solve(data, Mask.full(4, 5), FunctionalParams(alpha=0.0))
+    assert (report.stop_reason, report.iterations, report.converged) == ("stationary", 0, True)
+    data, mask = noisy_staircase_8x8()
+    params = FunctionalParams(p=1.1, alpha=2.75)
+    _, report = solve(data, mask, params, config=SolverConfig(max_iters=3))
+    assert (report.stop_reason, report.iterations, report.converged) == ("max_iters", 3, False)
+    _, report = solve(data, mask, params, config=SolverConfig(max_iters=100_000))
+    assert (report.stop_reason, report.converged) == ("tolerance", True)
+    assert report.to_json_dict()["stop_reason"] == "tolerance"
 
 
 def test_report_rejects_increasing_trajectory():
@@ -306,6 +335,20 @@ def noisy_band_16x16_with_hole():
     return data, Mask(present)
 
 
+def inpainting_10x10_hole():
+    """test_07's seed-0 inpainting: p = 1.1, a 4x4 hole in the 10x10 staircase."""
+    present = np.ones((10, 10), dtype=bool)
+    present[3:7, 3:7] = False
+    return (corrupt_field(make_staircase_phantom(10), NoiseSpec(1600.0, 0)), Mask(present),
+            FunctionalParams(p=1.1, s=0.5, alpha=0.5, n_rho=2))
+
+
+def denoise_32():
+    """perfbench denoise-tol's problem: the 32x32 staircase at p = 1.1."""
+    return (corrupt_field(make_staircase_phantom(32), NoiseSpec(1600.0, 1)), Mask.full(32, 32),
+            FunctionalParams(p=1.1, s=0.5, alpha=2.75, n_rho=3))
+
+
 def test_quasi_newton_cuts_iterations_to_tolerance():
     # plain projected gradient took 190 iterations on this p = 2 inpainting
     # problem and monotone FISTA momentum 48; the L-BFGS steps reach the same
@@ -322,11 +365,8 @@ def test_inpainting_near_p_one_converges_near_the_reference_minimum():
     # test_07's seed-0 problem: momentum ended its 4,000 iterations
     # unconverged at 53.63; the L-BFGS steps converge in about 1,700 to
     # 10.16447, and a run to rel_tol 1e-14 reached 10.1642720165
-    data = corrupt_field(make_staircase_phantom(10), NoiseSpec(1600.0, 0))
-    present = np.ones((10, 10), dtype=bool)
-    present[3:7, 3:7] = False
-    _, report = solve(data, Mask(present), FunctionalParams(p=1.1, s=0.5, alpha=0.5, n_rho=2),
-                      config=SolverConfig(max_iters=4000, rel_tol=1e-8))
+    data, mask, params = inpainting_10x10_hole()
+    _, report = solve(data, mask, params, config=SolverConfig(max_iters=4000, rel_tol=1e-8))
     assert report.converged
     reference = 10.1642720165
     assert abs(report.final_objective - reference) <= 1e-4 * reference
@@ -807,6 +847,116 @@ def test_convexity_skip_changes_only_the_evaluation_count(objective, masked, mon
     assert report.objective_trajectory == report_all.objective_trajectory
     assert report.iterations == report_all.iterations
     assert report.quasi_newton_steps == report_all.quasi_newton_steps
+    assert report.evaluations < report_all.evaluations
+
+
+def recorded_solve(monkeypatch, data, mask, params, config):
+    """solve with Objective.value, value_grad and project and _History.push
+    and direction patched to log each call in order, as (name, argument
+    bytes, value) for the first three and (name, array, gradient) for the
+    last two.  Returns the result, the report and the log split at each push:
+    in log mode every iteration after the first begins with one."""
+    log = []
+    for name in ("value", "value_grad", "project"):
+        def recorded(self, x, _name=name, _method=getattr(Objective, name)):
+            out = _method(self, x)
+            value = float(out) if _name == "value" else out[0] if _name == "value_grad" else None
+            log.append((_name, x.tobytes(), value))
+            return out
+        monkeypatch.setattr(Objective, name, recorded)
+    push, direction = optim._History.push, optim._History.direction
+
+    def recorded_push(self, x, x_prev, grad, grad_prev):
+        log.append(("push", x, grad))
+        return push(self, x, x_prev, grad, grad_prev)
+
+    def recorded_direction(self, grad):
+        log.append(("direction", direction(self, grad), None))
+        return log[-1][1]
+
+    monkeypatch.setattr(optim._History, "push", recorded_push)
+    monkeypatch.setattr(optim._History, "direction", recorded_direction)
+    out, report = solve(data, mask, params, config=config)
+    iterations = [[]]
+    for entry in log:
+        if entry[0] == "push":
+            iterations.append([])
+        iterations[-1].append(entry)
+    return out, report, iterations
+
+
+def trials(iteration):
+    """(index, point bytes, value) of the trials evaluated in one iteration's
+    log: a value_grad right after a value at the same point is the gradient
+    at an iterate accepted at a later rung, not a trial."""
+    out = []
+    for i, (name, point, value) in enumerate(iteration):
+        if name == "value_grad" and i and iteration[i - 1][:2] == ("value", point):
+            continue
+        if name in ("value", "value_grad"):
+            out.append((i, point, value))
+    return out
+
+
+@pytest.mark.parametrize("problem", [inpainting_10x10_hole, denoise_32],
+                         ids=["test_07", "denoise32"])
+def test_plain_ladders_share_one_iterations_trials(problem, monkeypatch):
+    # the warm and fresh plain ladders of an iteration share x and direction:
+    # no point is evaluated twice within an iteration, and once the last
+    # iteration's warm ladder has failed, its first trial ascending, the
+    # fresh ladder evaluates only steps longer than the warm start: the
+    # shorter ones are the warm ladder's, tried or ruled out
+    data, mask, params = problem()
+    config = SolverConfig(max_iters=100_000, rel_tol=1e-8)
+    out, report, iterations = recorded_solve(monkeypatch, data, mask, params, config)
+    assert report.stop_reason == "tolerance"
+    assert len(iterations) == report.iterations + 1  # the last, failed iteration pushes too
+    for k, iteration in enumerate(iterations):
+        points = [point for _, point, _ in trials(iteration)[k == 0:]]  # not the start value
+        repeated = len(points) - len(set(points))
+        assert repeated == 0, f"iteration {k + 1}"
+    last = iterations[-1]
+    _, x, grad = last[0]
+    fresh = [i for i, (name, point, _) in enumerate(last)
+             if name == "project" and point == (x - 2.0 * (grad / W3)).tobytes()]
+    assert len(fresh) == 1  # the fresh ladder ran: the warm one started elsewhere
+    (q,) = [array for name, array, _ in last if name == "direction"]
+    quasi_newton = {(x - 0.5 ** k * q).tobytes() for k in range(optim._QN_HALVINGS + 1)}
+    plain = [(i, value) for i, _, value in trials(last) if last[i - 1][1] not in quasi_newton]
+    d = grad / W3
+
+    def step(i):  # the step of the plain trial evaluated at log entry i
+        point = np.frombuffer(last[i - 1][1]).reshape(x.shape)
+        return float(((x - point) * d).sum() / (d * d).sum())
+
+    (warm, first), fresh_steps = plain[0], [step(i) for i, _ in plain if i > fresh[0]]
+    assert warm < fresh[0]
+    assert first > report.final_objective  # the warm ladder's first trial ascended
+    assert fresh_steps and min(fresh_steps) > step(warm) * (1 + 1e-9)
+    # a re-solve from the result changes the objective by less than the tolerance
+    _, again = solve(data, mask, params, config=config, init=out)
+    change = again.objective_trajectory[0] - again.final_objective
+    assert change < config.rel_tol * max(1.0, abs(again.objective_trajectory[0]))
+
+
+def test_warm_ladder_below_the_threshold_leaves_the_fresh_ladder_to_run(monkeypatch):
+    # every plain step here is warm-started 2^40 times below the step it
+    # accepted, so the warm ladder's linear bound cannot reach half the
+    # threshold: it evaluates only its last rung, at a step that leaves f(x)
+    # unchanged to rounding, and the fresh ladder must still run and accept.
+    # The trajectory is that of a solve with no trial skipped (_ruled_out off)
+    data, mask = noisy_staircase_8x8()
+    params = FunctionalParams(p=1.1, alpha=2.75)
+    config = SolverConfig(max_iters=200, rel_tol=1e-5)
+    monkeypatch.setattr(optim, "_GROW", 2.0 ** -40)
+    monkeypatch.setattr(optim._History, "direction", lambda self, grad: -grad)  # no L-BFGS step
+    out, report = solve(data, mask, params, config=config)
+    monkeypatch.setattr(optim, "_ruled_out", lambda lin, threshold, current: False)
+    out_all, report_all = solve(data, mask, params, config=config)
+    assert report_all.iterations > 20
+    assert report.objective_trajectory == report_all.objective_trajectory
+    assert np.array_equal(out.coeffs, out_all.coeffs)
+    assert report.stop_reason == report_all.stop_reason == "tolerance"
     assert report.evaluations < report_all.evaluations
 
 

@@ -26,9 +26,12 @@ the order base, head, head, base:
     PYTHONPATH=src python3 -m pytest -q --continue-on-collection-errors
 
 The summary holds, per workload and side, the median of each end-to-end
-metric over the seeds, the per-seed values and quartiles of op_s, the summed
-attempted and failed operation counts, and whether every run was correct,
-and per workload the number of seeds on which head's op_s is lower; per side
+metric over the seeds; the per-seed values and quartiles of op_s, setup_s
+and peak_rss_mb (so that a move of setup_s can be set against the side's own
+spread, and a rise of peak_rss_mb against the number of operations a run
+completed); the per-seed and summed attempted operation counts, the summed
+failed count, and whether every run was correct; and per workload the
+number of seeds on which head's op_s is lower; per side
 the Tier-1 wall times, pytest's closing line and the duration of
 test_acceptance.py::test_01 (setup, call and teardown); plus both git SHAs
 and src/ tree ids, the Python and numpy versions, and the number of CPUs.
@@ -50,6 +53,7 @@ import tempfile
 import time
 
 METRICS = ("op_s", "setup_s", "peak_rss_mb", "objective", "snr")
+PER_SEED = ("op_s", "setup_s", "peak_rss_mb")  # kept per seed, with quartiles
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=0")
 TEST_01 = "tests/test_acceptance.py::test_01_"
@@ -126,12 +130,14 @@ def summarize(runs: list[dict]) -> dict:
         "errors": [r["error"] for r in runs if "error" in r],
         "correct": len(good) == len(runs) and all(r["correct"] for r in good),
         "attempted": sum(r["attempted"] for r in good),
+        "attempted_per_seed": [r.get("attempted") for r in runs],
         "failed": sum(r["failed"] for r in good),
-        "op_s_per_seed": [r["metrics"]["op_s"]["value"] if "error" not in r else None
-                          for r in runs],
     }
-    op_s = [v for v in side["op_s_per_seed"] if v is not None]
-    side["op_s_quartiles"] = statistics.quantiles(op_s, n=4) if len(op_s) > 1 else None
+    for name in PER_SEED:
+        per_seed = [r["metrics"][name]["value"] if "error" not in r else None for r in runs]
+        values = [v for v in per_seed if v is not None]
+        side[f"{name}_per_seed"] = per_seed
+        side[f"{name}_quartiles"] = statistics.quantiles(values, n=4) if len(values) > 1 else None
     for name in METRICS:
         values = [r["metrics"][name]["value"] for r in good if name in r["metrics"]]
         side[name] = statistics.median(values) if values else None
