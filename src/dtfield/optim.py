@@ -40,7 +40,10 @@ share x and direction, so a step one of them evaluated is not evaluated
 again.  The run would have rejected every skipped trial anyway, so accepted
 steps and results are unchanged and only evaluations fall.  A plain ladder
 that would end on a skipped trial evaluates it for the plateau test, unless
-a trial of the iteration already passes that test.
+a trial of the iteration already passes that test.  Once it rules out a
+trial that the projection returns as is, from an x returned as is, every
+shorter step lies between them in a convex set where the projection is the
+identity and has a smaller bound: the ladder jumps to its last rung.
 
 A ladder's first trial, the one most iterations accept, is evaluated
 together with its gradient (Objective.value_grad, whose value has the bits of
@@ -243,17 +246,22 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         that overflows is rejected unprojected.  The first trial is evaluated
         with its gradient.  The next start step is _GROW times the accepted
         step if the first trial was evaluated and accepted, else the accepted
-        step.  Returns the accepted (point, value, next start
-        step, gradient at the point or None), or None."""
-        nonlocal evaluations
+        step.  A ruled-out trial that project returns as is, from an x that it
+        returns as is, sends the ladder to its last rung.  Returns the accepted
+        (point, value, next start step, gradient at the point or None), or None."""
+        nonlocal evaluations, x_fixed
+        segment = False  # whether a ruled-out trial bounds every shorter step
         for rung in range(rungs + 1):
-            point = None if step in tried else x - step * direction
-            if point is None or not np.isfinite(point).all():  # seen, or overflowed
+            point = None if step in tried or segment and rung < rungs else x - step * direction
+            if point is None or not np.isfinite(point).all():  # seen, skipped or overflowed
                 step *= _BACKTRACK
                 continue
             candidate = pack.project(point)
             slope = _dot(grad, candidate - x)
             if _ruled_out(-slope, threshold, current) and (rung < _MAX_BACKTRACKS or flat(tried)):
+                if candidate is point and x_fixed is None:  # the start point, checked once
+                    x_fixed = pack.project(x) is x
+                segment = candidate is point and x_fixed
                 step *= _BACKTRACK
                 continue
             if rung == 0:
@@ -263,11 +271,13 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             evaluations += 1
             tried[step] = trial
             if current - trial >= threshold and trial <= current + _ARMIJO_C * slope:
+                x_fixed = candidate is point
                 return candidate, trial, step * _GROW if rung == 0 else step, trial_grad
             step *= _BACKTRACK
         return None
 
     x = pack.start(init)
+    x_fixed = None  # whether project(x) is x; None until checked
     current = float(pack.value(x))
     if not math.isfinite(current):
         raise OverflowError(f"objective {current} at the start point; "

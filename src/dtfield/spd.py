@@ -281,13 +281,16 @@ def _certified_feasible(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndar
 def project_full_coeffs(coeffs: np.ndarray, epsilon: float, z: float) -> np.ndarray:
     """Full projection of (..., 6) coefficients: floor the eigenvalues at epsilon, then
     rescale the log spectrum into the ball ||Log||_F <= z; the elements that
-    _certified_feasible proves feasible pass as they are."""
+    _certified_feasible proves feasible pass as they are, and an input whose
+    every element passes is returned as is (float64 input is not copied)."""
     _check_floor_in_ball(epsilon, z)
-    out = np.array(coeffs, dtype=np.float64)
-    todo = ~_certified_feasible(out, epsilon, z)
-    if todo.any():
-        vals, vecs = eigh_coeffs(out[todo])
-        out[todo] = _coeffs_from_eig(_project_values(vals, epsilon, z), vecs)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    todo = ~_certified_feasible(coeffs, epsilon, z)
+    if not todo.any():
+        return coeffs
+    out = coeffs.copy()
+    vals, vecs = eigh_coeffs(out[todo])
+    out[todo] = _coeffs_from_eig(_project_values(vals, epsilon, z), vecs)
     return out
 
 

@@ -850,6 +850,103 @@ def test_convexity_skip_changes_only_the_evaluation_count(objective, masked, mon
     assert report.evaluations < report_all.evaluations
 
 
+def counted_solve(monkeypatch, copy, *args, **kwargs):
+    """solve(*args, **kwargs) with Objective.project counting its calls.
+    With copy, project returns a copy wherever it would return its input,
+    which turns the ladders' segment skip off, so every rung is built and
+    projected.  Returns the result, the report and the number of projections."""
+    calls, project = [], Objective.project
+
+    def counted(self, x):
+        calls.append(None)
+        out = project(self, x)
+        return out.copy() if copy and out is x else out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Objective, "project", counted)
+        out, report = solve(*args, **kwargs)
+    return out, report, len(calls)
+
+
+def with_params(make_data, params):
+    return lambda: (*make_data(), params)
+
+
+def log_denoise_8x8(epsilon, z):
+    return with_params(noisy_staircase_8x8,
+                       FunctionalParams(p=1.1, alpha=2.75, n_rho=3, epsilon=epsilon, z=z))
+
+
+@pytest.mark.parametrize("problem, objective, rel_tol, fires", [
+    pytest.param(inpainting_10x10_hole, "f-log-euclidean", 1e-8, True, id="test_07"),
+    pytest.param(denoise_32, "f-log-euclidean", 1e-8, True, id="denoise32"),
+    pytest.param(with_params(noisy_band_16x16_with_hole,
+                             FunctionalParams(p=2.0, alpha=1.0, n_rho=2)),
+                 "f-log-euclidean", 1e-10, True, id="band16-hole-p2"),
+    pytest.param(with_params(noisy_staircase_8x8, FunctionalParams(p=1.1, alpha=2.75, n_rho=3)),
+                 "f-euclidean", 1e-7, True, id="staircase8-f-euclidean"),
+    pytest.param(with_params(noisy_staircase_8x8, FunctionalParams(p=1.1, beta=2.0)),
+                 "fc", 1e-6, True, id="staircase8-fc"),
+    # x keeps pixels a rounding beyond the z = 5 sphere it was projected onto,
+    # or, at z = 36, between -log epsilon and z: project(x) is not x, and a
+    # segment from x could leave the set on which the projection is the identity
+    pytest.param(log_denoise_8x8(1e-3, 5.0), "f-log-euclidean", 1e-8, False, id="eps1e-3-z5"),
+    pytest.param(log_denoise_8x8(1e-3, 36.0), "f-log-euclidean", 1e-6, False, id="eps1e-3-z36"),
+])
+def test_segment_skip_changes_only_the_projection_count(problem, objective, rel_tol, fires,
+                                                        monkeypatch):
+    # once a ladder rules out a trial that the projection left unchanged,
+    # from an x that it leaves unchanged too, every shorter step lies on the
+    # segment between them and has a smaller bound, so the ladder goes to its
+    # last rung without building them; the run is the same to the bit
+    data, mask, params = problem()
+    config = SolverConfig(max_iters=100_000, rel_tol=rel_tol)
+    out, report, projections = counted_solve(monkeypatch, False, data, mask, params,
+                                             objective=objective, config=config)
+    out_all, report_all, projections_all = counted_solve(monkeypatch, True, data, mask, params,
+                                                         objective=objective, config=config)
+    assert report.stop_reason == report_all.stop_reason == "tolerance"
+    assert out.coeffs.tobytes() == out_all.coeffs.tobytes()
+    assert report.objective_trajectory == report_all.objective_trajectory
+    assert report.evaluations == report_all.evaluations
+    assert report.quasi_newton_steps == report_all.quasi_newton_steps
+    if fires:
+        assert projections < projections_all
+    else:
+        assert projections == projections_all
+
+
+def test_segment_skip_halves_the_denoise_projections(monkeypatch):
+    # perfbench denoise-tol's problem projected 210 trials when every rung of
+    # a failed ladder was built; it evaluates 82
+    data, mask, params = denoise_32()
+    config = SolverConfig(max_iters=100_000, rel_tol=1e-8)
+    _, report, projections = counted_solve(monkeypatch, False, data, mask, params,
+                                           config=config)
+    assert report.evaluations <= 90
+    assert projections <= 95
+
+
+@pytest.mark.parametrize("init_log, projections", [(-2.5, 6), (-5.8, 64)],
+                         ids=["x-in-ball", "x-outside-ball"])
+def test_segment_skip_needs_an_x_that_projection_returns_as_is(init_log, projections,
+                                                               monkeypatch):
+    # at epsilon 1e-3 the log projection returns a pixel as is only inside
+    # the ball of radius -log epsilon = 6.9.  With every trial ruled out, the
+    # one ladder of the first iteration projects steps 2 and 1, finds step 1's
+    # trial inside that ball, checks x and, from an x at log-norm 4.3, goes to
+    # its last rung; from a feasible x at log-norm 10.0 the segment to that
+    # trial leaves the ball, so it builds and projects all 61 rungs
+    data = np.tile(exp_coeffs(np.array([0.5, 0.2, -0.3, 0.0, 0.0, 0.0])), (2, 2, 1))
+    init = constant_field(2, 2, exp_coeffs(np.array([init_log] * 3 + [0.0] * 3)))
+    params = FunctionalParams(p=2.0, alpha=0.0, epsilon=1e-3)
+    monkeypatch.setattr(optim, "_ruled_out", lambda lin, threshold, current: True)
+    _, report, count = counted_solve(monkeypatch, False, TensorField(data), Mask.full(2, 2),
+                                     params, init=init)
+    assert report.stop_reason == "tolerance" and report.iterations == 0
+    assert count == projections  # start, the rungs built, the check of x, finish
+
+
 def recorded_solve(monkeypatch, data, mask, params, config):
     """solve with Objective.value, value_grad and project and _History.push
     and direction patched to log each call in order, as (name, argument

@@ -697,6 +697,27 @@ def test_projection_skips_only_certified_pixels():
     assert np.all(np.abs(out[~certified] - expect) <= 1e-9 * scale)
 
 
+def test_projection_copies_only_when_it_projects():
+    # an input whose every element is certified comes back as the same
+    # object; one with a projected element comes back as a new array and the
+    # input keeps its values.  A read-only input stays read-only: a caller
+    # that wrote into the result (none does: fit_field and Objective.start
+    # copy it, the solver only reads it) would fail here, not corrupt data
+    rng = np.random.default_rng(34)
+    epsilon, z = EPSILON_DEFAULT, 2.0
+    coeffs = certificate_cases(rng, epsilon, z, n=2000)
+    certified = _certified_feasible(coeffs, epsilon, z)
+    assert certified.any() and not certified.all()
+    inside = coeffs[certified]
+    inside.flags.writeable = False
+    assert project_full_coeffs(inside, epsilon, z) is inside
+    before = coeffs.copy()
+    out = project_full_coeffs(coeffs, epsilon, z)
+    assert out is not coeffs and not np.shares_memory(out, coeffs)
+    assert np.array_equal(coeffs, before)
+    assert np.array_equal(out[certified], inside)
+
+
 def test_log_domain_projection_ball_and_identity():
     rng = np.random.default_rng(31)
     logs = rng.standard_normal((200, 6))

@@ -1,6 +1,6 @@
 """Digest of a fixed dtfield CLI matrix, for byte-identity checks across revisions.
 
-    python3 tools/cli_digest.py [--src PATH]
+    python3 tools/cli_digest.py [--src PATH] [--against OTHER]
 
 Runs every command below with `python3 -m dtfield.cli`, PYTHONPATH set to
 PATH (default: the src/ next to this tool), in a fresh temporary directory
@@ -10,8 +10,16 @@ it prints one line
     exit <code>  stdout <sha256>  stderr <sha256>  dtfield <arguments>
 
 and then one `<sha256>  <path>` line per file the commands wrote, in path
-order.  Diff the output for two checkouts' src/ to see whether they write the
-same bytes, print the same text and exit alike.
+order.  With --against OTHER (another checkout's src/) it runs the matrix on
+PATH and then on OTHER, and prints only the lines that differ, each pair as
+
+    - <OTHER's line>
+    + <PATH's line>
+
+matched by command or by path (a line one side lacks is printed alone).  It
+then exits 1 if any line differs, and 0 after printing one line that says
+the outputs agree.  So two checkouts write the same bytes, print the same
+text and exit alike when the exit status is 0.
 
 The matrix: README's quick start (generate, the loglog denoise, evaluate,
 render, and inpaint with the central 4x4 hole); an inpainting of the same hole
@@ -107,12 +115,10 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
-                        help="directory holding the dtfield package (default: ../src)")
-    args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+def digest(src: str) -> list[str]:
+    """The output lines of the matrix run on the dtfield package in src."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    lines = []
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as work:
         for name, text in (("hole.msk", HOLE), ("solve.cfg", CONFIG), ("bad.cfg", BAD_CONFIG)):
             with open(os.path.join(work, name), "w", encoding="ascii") as fh:
@@ -120,14 +126,42 @@ def main(argv=None) -> int:
         for command in MATRIX:
             run = subprocess.run([sys.executable, "-m", "dtfield.cli", *command.split()],
                                  cwd=work, env=env, capture_output=True)
-            print(f"exit {run.returncode}  stdout {sha256(run.stdout)}  "
-                  f"stderr {sha256(run.stderr)}  dtfield {command}", flush=True)
+            lines.append(f"exit {run.returncode}  stdout {sha256(run.stdout)}  "
+                         f"stderr {sha256(run.stderr)}  dtfield {command}")
         paths = sorted(os.path.relpath(os.path.join(root, name), work)
                        for root, _, names in os.walk(work) for name in names)
         for path in paths:
             with open(os.path.join(work, path), "rb") as fh:
-                print(f"{sha256(fh.read())}  {path}")
-    return 0
+                lines.append(f"{sha256(fh.read())}  {path}")
+    return lines
+
+
+def differing(ours: list[str], theirs: list[str]) -> list[str]:
+    """'- theirs' / '+ ours' for every command or path whose lines differ."""
+    ours_by = {line.split("  ")[-1]: line for line in ours}
+    theirs_by = {line.split("  ")[-1]: line for line in theirs}
+    out = []
+    for key in dict.fromkeys([*ours_by, *theirs_by]):
+        pair = (("-", theirs_by.get(key)), ("+", ours_by.get(key)))
+        if pair[0][1] != pair[1][1]:
+            out += [f"{sign} {line}" for sign, line in pair if line is not None]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
+                        help="directory holding the dtfield package (default: ../src)")
+    parser.add_argument("--against", metavar="OTHER",
+                        help="another src/ directory: print only the lines that differ")
+    args = parser.parse_args(argv)
+    ours = digest(args.src)
+    if args.against is None:
+        print("\n".join(ours))
+        return 0
+    diff = differing(ours, digest(args.against))
+    print("\n".join(diff) if diff else f"all {len(ours)} lines agree")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
