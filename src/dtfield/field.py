@@ -14,7 +14,9 @@ The batched evaluators accept arrays with arbitrary leading axes in front
 of (height, width, 6) and return one energy per leading index; gradients
 are with respect to the independent coefficients (so off-diagonal partials
 carry the Frobenius factor 2).  All reductions run in a fixed index order,
-so results are bit-deterministic.
+so results are bit-deterministic.  pairwise_energy takes offset (di, dj) as
+the shift di * width + dj of the row-major pixels, one contiguous slice pair
+that the first pixel's column splits between (di, dj) and (di + 1, dj - width).
 """
 from __future__ import annotations
 
@@ -273,34 +275,52 @@ def pairwise_energy(rep: np.ndarray, offsets: list[tuple[int, int, float]],
                     p: float, need_grad: bool = False):
     """Sum over ordered pixel pairs of kernel * distance^p in coordinate space.
 
-    rep is (..., height, width, 6); offsets is phi_kernel_offsets(height, width, ...).
-    The gradient sums the unweighted pair terms and applies the Frobenius
-    weights once at the end: they are 1 and 2, so the bits are the same.
+    rep is (..., height, width, 6); offsets is phi_kernel_offsets(height,
+    width, ...), in any order.  Offset (di, dj) is the shift s = di * width +
+    dj of the row-major pixels, a zero row appended: its pairs (q, q + s), q <
+    (height - di) * width, are one contiguous slice pair, split by q's column
+    c: c < width - (s mod width) belongs to (s // width, s mod width), the
+    rest to (s // width + 1, s mod width - width), served too while pending.
+    Pairs of unlisted offsets get no weight; each offset's energy sums its
+    pairs as one (rows, cols) block, in list order.  The gradient applies the
+    Frobenius weights (1 and 2, so the bits are the same) once at the end.
     """
     height, width = rep.shape[-3], rep.shape[-2]
-    energy = np.zeros(rep.shape[:-3])
-    grad = np.zeros_like(rep) if need_grad else None
+    lead, n = rep.shape[:-3], height * width
+    flat = np.concatenate((rep.reshape(lead + (n, 6)), np.zeros(lead + (width, 6))), axis=-2)
+    pending = {(di, dj): kernel for di, dj, kernel in offsets}  # no pass run yet
+    deferred = {}  # energies of offsets taken in a partner's pass
+    energy = np.zeros(lead)
+    grad = np.zeros(lead + (n, 6)) if need_grad else None
     for di, dj, kernel in offsets:
-        rows_a = slice(0, height - di)
-        rows_b = slice(di, height)
-        if dj >= 0:
-            cols_a = slice(0, width - dj)
-            cols_b = slice(dj, width)
-        else:
-            cols_a = slice(-dj, width)
-            cols_b = slice(0, width + dj)
-        a = rep[..., rows_a, cols_a, :]
-        b = rep[..., rows_b, cols_b, :]
-        diff = a - b
-        nsq = weighted_norm_sq(diff)
-        energy = energy + 2.0 * kernel * _power(nsq, p).sum(axis=(-2, -1))
+        if pending.pop((di, dj), None) is None:  # taken in its partner's pass
+            energy = energy + deferred.pop((di, dj))
+            continue
+        size, shift = (height - di) * width, di * width + dj
+        diff = flat[..., :size, :] - flat[..., shift:shift + size, :]
+        nsq = weighted_norm_sq(diff).reshape(lead + (height - di, width))
+        cut = width - dj if dj >= 0 else -dj
+        own, rest = (slice(0, cut), slice(cut, width)) if dj >= 0 else \
+            (slice(cut, width), slice(0, cut))
+        # np.power copies the block contiguous, summed as a lone block; exact at p = 2
+        energy = energy + 2.0 * kernel * np.power(nsq[..., own], 0.5 * p).sum(axis=(-2, -1))
+        partner = pending.pop((di + 1, dj - width), None) if dj > 0 else None
+        if partner is not None:
+            deferred[di + 1, dj - width] = 2.0 * partner * np.power(
+                nsq[..., :-1, rest], 0.5 * p).sum(axis=(-2, -1))
         if need_grad:
-            diff *= (2.0 * kernel * p * _power_grad_factor(nsq, p))[..., None]
-            grad[..., rows_a, cols_a, :] += diff
-            grad[..., rows_b, cols_b, :] -= diff
+            scale = 2.0 * kernel * p
+            if partner is not None:
+                scale = np.full(width, 2.0 * partner * p)
+                scale[own] = 2.0 * kernel * p
+            pairs = diff.reshape(nsq.shape + (6,))
+            pairs *= (scale * _power_grad_factor(nsq, p))[..., None]
+            pairs[..., slice(None) if partner is None else -1, rest, :] = 0.0  # no weight
+            grad[..., :size, :] += diff
+            grad[..., shift:shift + size, :] -= diff[..., :n - shift, :]
     if need_grad:
         grad *= _W3
-        return energy, grad
+        return energy, grad.reshape(rep.shape)
     return energy
 
 

@@ -247,7 +247,7 @@ def weighted_norm_sq(coeffs: np.ndarray) -> np.ndarray:
     """Squared full-matrix Frobenius norm of a (..., 6) coefficient array.
 
     The input is made C-contiguous first: matmul's summation order follows
-    the memory layout, and equal values must give equal bits.
+    the layout and the shape (one row sums apart): equal bits need equal shapes.
     """
     coeffs = np.ascontiguousarray(coeffs)
     return (coeffs * coeffs) @ _W3

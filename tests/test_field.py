@@ -701,6 +701,79 @@ def test_evaluator_gradients_bit_match_reference(p, batch):
         assert got[1].shape == shape
 
 
+@pytest.mark.parametrize("height, width, n_rho, p", [
+    (10, 10, 3, 1.1), (32, 32, 3, 1.1), (48, 48, 2, 2.0), (64, 64, 3, 1.1)])
+def test_pairwise_energy_bit_matches_reference_at_workload_shapes(height, width, n_rho, p):
+    # perfbench's grids and windows: the kernel takes each offset as one flat
+    # slice pair and the reference as a (rows, cols) block, to the same bits
+    rep = 0.5 * np.random.default_rng(63).standard_normal((height, width, 6))
+    offsets = phi_kernel_offsets(height, width, FunctionalParams(p=p, s=0.5, l=1, n_rho=n_rho))
+    value, grad = pairwise_energy(rep, offsets, p, need_grad=True)
+    want_value, want_grad = reference_pairwise(rep, offsets, p)
+    assert np.array_equal(value, want_value) and np.array_equal(grad, want_grad)
+    assert np.array_equal(pairwise_energy(rep, offsets, p), want_value)
+
+
+# Rounding, not bits: weighted_norm_sq sums a one-row array in another order
+# than the same row inside a longer array (numpy's matmul takes a dot path for
+# it, not the gemv; ROADMAP item 3), and here the reference's blocks have
+# one-pixel rows where the kernel's flat slices are longer.  Under l = 0 the
+# kernel also adds two offsets' gradient terms in one pass.
+@pytest.mark.parametrize("shape, l", [
+    ((1, 9, 6), 1), ((9, 1, 6), 1), ((1, 9, 6), 0), ((9, 1, 6), 0),
+    ((3, 7, 8, 6), 1), ((2, 2, 7, 8, 6), 1), ((3, 4, 5, 6), 0),
+    ((3, 3, 6), 0), ((6, 6, 6), 0), ((13, 7, 6), 0)])
+@pytest.mark.parametrize("p", [1.1, 2.0])
+def test_pairwise_energy_matches_reference_to_rounding(shape, l, p):
+    rep = np.random.default_rng(64).standard_normal(shape)
+    offsets = phi_kernel_offsets(shape[-3], shape[-2], FunctionalParams(p=p, s=0.5, l=l, n_rho=2))
+    value, grad = pairwise_energy(rep, offsets, p, need_grad=True)
+    want_value, want_grad = reference_pairwise(rep, offsets, p)
+    assert np.all(np.abs(value - want_value) <= 1e-15 * np.abs(want_value))
+    assert np.abs(grad - want_grad).max() <= 1e-15 * np.abs(want_grad).max()
+    assert np.array_equal(pairwise_energy(rep, offsets, p), value)
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_pairwise_energy_takes_offsets_in_any_order(l, order):
+    # a pass serves its partner offset only while that one has had no pass of
+    # its own, so each pair is counted once and value and gradient agree
+    rep = np.random.default_rng(66).standard_normal((6, 7, 6))
+    offsets = phi_kernel_offsets(6, 7, FunctionalParams(p=1.1, s=0.5, l=l, n_rho=3))
+    if order == "reversed":
+        offsets = offsets[::-1]
+    else:
+        offsets = [offsets[i] for i in np.random.default_rng(67).permutation(len(offsets))]
+    value, grad = pairwise_energy(rep, offsets, 1.1, need_grad=True)
+    want_value, want_grad = reference_pairwise(rep, offsets, 1.1)
+    assert abs(value - want_value) <= 1e-15 * abs(want_value)
+    assert np.abs(grad - want_grad).max() <= 1e-15 * np.abs(want_grad).max()
+    assert np.array_equal(pairwise_energy(rep, offsets, 1.1), value)
+
+
+@pytest.mark.parametrize("constant", ["rows", "columns"])
+def test_pairwise_energy_counts_no_pair_across_a_row_seam(constant):
+    # with constant rows, neighbours in row-major order differ only across a
+    # seam, from the last column of one row to the first of the next: pairs
+    # a flat shift takes in that no listed offset owns, so the horizontal
+    # offsets' energy is 0; with constant columns the wrapped pairs of the
+    # negative-dj offsets differ as well
+    rng = np.random.default_rng(65)
+    if constant == "rows":
+        rep = np.repeat(rng.standard_normal((7, 1, 6)), 9, axis=1)
+    else:
+        rep = np.repeat(rng.standard_normal((1, 9, 6)), 7, axis=0)
+    windowed = phi_kernel_offsets(7, 9, FunctionalParams(p=1.5, s=0.5, l=1, n_rho=2))
+    across = [(di, dj, kernel) for di, dj, kernel in windowed if di == 0]
+    for offsets in (windowed, across):
+        value, grad = pairwise_energy(rep, offsets, 1.5, need_grad=True)
+        want_value, want_grad = reference_pairwise(rep, offsets, 1.5)
+        assert np.array_equal(value, want_value) and np.array_equal(grad, want_grad)
+    if constant == "rows":
+        assert want_value == 0.0 and not grad.any()
+
+
 # ---- the Objective bundle ----
 
 def test_objective_value_grad_and_batches_agree_for_every_kind(fd_gradient):
