@@ -96,8 +96,9 @@ _SOLVE_OPTS = [
     ("z", "z", float, FunctionalParams.z, "log-norm bound of the feasible set"),
     ("epsilon", "epsilon", float, FunctionalParams.epsilon, "eigenvalue floor of the projection"),
     ("iters", "max_iters", int, SolverConfig.max_iters, "maximum gradient iterations"),
-    ("init-step", "init_step", float, SolverConfig.init_step,
-     "fresh line searches (the first, and one before a run stops) start at 2 x init-step"),
+    ("init-step", "init_step", float, SolverConfig.init_step, "fresh line searches (the first,"
+     " and one before a stop) start at 2 x init-step, halved for euclid/sobolev till x moves"
+     " at most |x|"),
     ("rel-tol", "rel_tol", float, SolverConfig.rel_tol, "relative decrease stopping tolerance"),
 ]
 

@@ -22,15 +22,17 @@ W the Frobenius weights of the coefficients and gamma = <s, y> / <y, W^-1 y>
 of the newest pair.  An iteration whose history is empty, whose <grad, H grad>
 is not positive or whose quasi-Newton ladder accepts no trial takes a plain
 step instead: ladders with direction = grad / W.  Plain ladders are warm: the
-next one starts at _GROW times the accepted step when a ladder's first trial
-was accepted, and at the accepted step otherwise, so a steady step costs one
+next one starts at _GROW times the accepted step when it was the ladder's
+start step, and at the accepted step otherwise, so a steady step costs one
 evaluation and a short one can still grow (the backtracking of Scheinberg,
-Goldfarb & Bai); a quasi-Newton acceptance leaves that start alone.  The
-first plain ladder starts at twice init_step.  A run stops only after a
-plain step's fresh ladder from the current point, also at twice init_step,
-fails too; a re-solve from the result starts with an empty history, so that
-is its first ladder, and re-solving changes the objective by less than the
-tolerance.
+Goldfarb & Bai); a quasi-Newton acceptance leaves that start alone.  Fresh
+plain ladders start at twice init_step: the first, and the one after a failed
+warm one, which must fail too for a run to stop; a re-solve from the result
+starts with an empty history, so that is its first ladder, and re-solving
+changes the objective by less than the tolerance.  On raw coefficients a fresh
+ladder skips the rungs whose trial moves x by more than ||x||_W (_first_rung):
+the solve is scale-equivariant, data scaled by c scale its accepted steps and
+that cap alike by c^(2-p), and a fixed start wastes (2-p) log2(1/c) rungs.
 
 All three objectives are convex in the iterate's coordinates, so
 f(x) - f(trial) <= <grad, x - trial>.  A ladder therefore skips,
@@ -45,7 +47,7 @@ trial that the projection returns as is, from an x returned as is, every
 shorter step lies between them in a convex set where the projection is the
 identity and has a smaller bound: the ladder jumps to its last rung.
 
-A ladder's first trial, the one most iterations accept, is evaluated
+A ladder's rung-0 trial, the one most iterations accept, is evaluated
 together with its gradient (Objective.value_grad, whose value has the bits of
 Objective.value), and the next iteration reuses that gradient; later trials
 are evaluated without one.  So the gradient at an iterate is computed apart
@@ -68,7 +70,7 @@ from .spd import _W3
 _MAX_BACKTRACKS = 60
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of every ladder
 _BACKTRACK = 0.5  # step shrink factor of every ladder
-_GROW = 1.25  # next plain start over the accepted step, after a first-trial acceptance
+_GROW = 1.25  # next plain start over the accepted step, after a rung-0 acceptance
 _HISTORY = 5  # L-BFGS pairs kept
 _QN_HALVINGS = 20  # quasi-Newton ladder: trials at steps 1, 1/2, ..., 2^-20
 _CURVATURE_SKIP = 1e-12  # a pair with <s, y> <= this * ||s|| ||y|| is dropped
@@ -96,6 +98,14 @@ def _dot(a, b) -> float:
     """<a, b> as an elementwise product summed by np.sum: no BLAS call, whose
     summation order depends on the CPU kernel."""
     return float((a * b).sum())
+
+
+def _first_rung(x, direction, step) -> int:
+    """The least k <= _MAX_BACKTRACKS with step 2^-k ||direction||_W <= ||x||_W."""
+    k, ratio = 0, step * math.sqrt(_dot(direction * _W3, direction) / _dot(x * _W3, x))
+    while ratio > 1.0 and k < _MAX_BACKTRACKS:
+        ratio, k = ratio * _BACKTRACK, k + 1
+    return k
 
 
 class _History:
@@ -237,24 +247,24 @@ def solve(data: TensorField, mask, params: FunctionalParams,
         """The plateau test: some trial of tried does not ascend past rounding."""
         return any(v <= current + _PLATEAU_REL * max(1.0, abs(current)) for v in tried.values())
 
-    def ladder(direction, step, rungs, tried):
-        """Backtrack over the trials P(x - step * direction), halving step at
-        most rungs times, until a trial satisfies the Armijo condition and
-        lowers f(x) by the threshold.  tried maps each step this iteration
-        evaluated along direction to its value; steps in it, and trials that
-        convexity rules out, are skipped (module docstring); a trial point
-        that overflows is rejected unprojected.  The first trial is evaluated
-        with its gradient.  The next start step is _GROW times the accepted
-        step if the first trial was evaluated and accepted, else the accepted
+    def ladder(direction, top, rungs, tried, first=0):
+        """Backtrack over the trials P(x - top 2^-k direction), rung k from
+        first (rungs before it are neither built nor counted) to rungs, until
+        a trial satisfies the Armijo condition and lowers f(x) by the
+        threshold.  tried maps each step this iteration evaluated along
+        direction to its value; steps in it, and trials that convexity rules
+        out, are skipped (module docstring); a trial point that overflows is
+        rejected unprojected.  Rung 0 is evaluated with its gradient; the next
+        start step is _GROW times top if rung 0 is accepted, else the accepted
         step.  A ruled-out trial that project returns as is, from an x that it
         returns as is, sends the ladder to its last rung.  Returns the accepted
         (point, value, next start step, gradient at the point or None), or None."""
         nonlocal evaluations, x_fixed
         segment = False  # whether a ruled-out trial bounds every shorter step
-        for rung in range(rungs + 1):
+        for rung in range(first, rungs + 1):
+            step = top * _BACKTRACK ** rung
             point = None if step in tried or segment and rung < rungs else x - step * direction
             if point is None or not np.isfinite(point).all():  # seen, skipped or overflowed
-                step *= _BACKTRACK
                 continue
             candidate = pack.project(point)
             slope = _dot(grad, candidate - x)
@@ -262,7 +272,6 @@ def solve(data: TensorField, mask, params: FunctionalParams,
                 if candidate is point and x_fixed is None:  # the start point, checked once
                     x_fixed = pack.project(x) is x
                 segment = candidate is point and x_fixed
-                step *= _BACKTRACK
                 continue
             if rung == 0:
                 trial, trial_grad = pack.value_grad(candidate)
@@ -273,7 +282,6 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             if current - trial >= threshold and trial <= current + _ARMIJO_C * slope:
                 x_fixed = candidate is point
                 return candidate, trial, step * _GROW if rung == 0 else step, trial_grad
-            step *= _BACKTRACK
         return None
 
     x = pack.start(init)
@@ -313,7 +321,8 @@ def solve(data: TensorField, mask, params: FunctionalParams,
             direction = grad / _W3  # Frobenius-geometry gradient
             tried = {}  # shared by the warm and the fresh ladder
             for step in (start,) if start == fresh else (start, fresh):  # warm, then fresh
-                accepted = ladder(direction, step, _MAX_BACKTRACKS, tried)
+                first = 0 if pack.log_mode or step != fresh else _first_rung(x, direction, step)
+                accepted = ladder(direction, step, _MAX_BACKTRACKS, tried, first)
                 if accepted is not None:
                     break
             if accepted is None:

@@ -1,7 +1,10 @@
 """Tests for the projected gradient solver and its gradients."""
 from __future__ import annotations
 
+import importlib
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +373,19 @@ def test_inpainting_near_p_one_converges_near_the_reference_minimum():
     assert report.converged
     reference = 10.1642720165
     assert abs(report.final_objective - reference) <= 1e-4 * reference
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+@pytest.mark.parametrize("p, rel_tol", [(1.1, 1e-4), (1.01, 1e-12), (1.02, 1e-12)])
+def test_inpainting_near_p_one_does_not_report_convergence_at_its_start(p, rel_tol):
+    # no step of the first line search lowers f by the tolerance, so each of
+    # these solves stops after 0 iterations at 101.699, 79.822 and 81.953
+    # and reports converged, where the minimum lies near 10.2-10.9
+    data, mask, params = inpainting_10x10_hole()
+    params = FunctionalParams(p=p, s=params.s, alpha=params.alpha, n_rho=params.n_rho)
+    _, report = solve(data, mask, params,
+                      config=SolverConfig(max_iters=100_000, rel_tol=rel_tol))
+    assert report.final_objective < 11.0 or not report.converged
 
 
 def test_p2_minimizer_matches_scipy_lbfgsb():
@@ -1099,6 +1115,120 @@ def test_convexity_bound_never_skips_on_non_finite_values():
     # linear model says ascend past that slack are ruled out
     assert not optim._ruled_out(0.0, 1e-13, 100.0)
     assert optim._ruled_out(-1e-9, 1e-13, 100.0)
+
+
+# ---- the start cap of raw-coefficient fresh ladders ----
+
+def staircase_8x8(masked):
+    data, mask = noisy_staircase_8x8()
+    if masked:
+        present = np.ones((8, 8), dtype=bool)
+        present[2:5, 3:6] = False
+        mask = Mask(present)
+    return data, mask
+
+
+@pytest.mark.parametrize("objective", ["f-euclidean", "fc"])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "hole"])
+@pytest.mark.parametrize("config", [SolverConfig(max_iters=80, rel_tol=1e-15),
+                                    SolverConfig(max_iters=100_000, rel_tol=1e-8)],
+                         ids=["80-iterations", "tolerance"])
+def test_start_cap_changes_only_the_evaluation_count(objective, masked, config, monkeypatch):
+    # a fresh raw-coefficient ladder starts at the rung _first_rung names;
+    # on these solves every rung it skips would have been rejected, so the
+    # run is the same to the bit with fewer evaluations
+    data, mask = staircase_8x8(masked)
+    params = FunctionalParams(p=1.1, alpha=2.75, beta=2.0, n_rho=3)
+    out, report = solve(data, mask, params, objective=objective, config=config)
+    monkeypatch.setattr(optim, "_first_rung", lambda x, direction, step: 0)
+    out_all, report_all = solve(data, mask, params, objective=objective, config=config)
+    assert out.coeffs.tobytes() == out_all.coeffs.tobytes()
+    assert report.objective_trajectory == report_all.objective_trajectory
+    assert report.iterations == report_all.iterations
+    assert report.stop_reason == report_all.stop_reason
+    assert report.quasi_newton_steps == report_all.quasi_newton_steps
+    assert report.evaluations < report_all.evaluations
+
+
+def test_log_mode_ladders_start_at_their_first_rung(monkeypatch):
+    # in log coordinates 0 is the identity tensor, not a scale: no ladder
+    # there asks for a first rung, while a raw-coefficient solve does
+    calls = []
+
+    def recorded(x, direction, step):
+        calls.append(step)
+        return 0
+
+    monkeypatch.setattr(optim, "_first_rung", recorded)
+    data, mask = staircase_8x8(True)
+    params = FunctionalParams(p=1.1, alpha=2.75, n_rho=3)
+    config = SolverConfig(max_iters=100_000, rel_tol=1e-8)
+    _, report = solve(data, mask, params, config=config)
+    assert report.stop_reason == "tolerance" and calls == []
+    solve(data, mask, params, objective="f-euclidean", config=config)
+    assert calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -10, 2.0 ** -20])
+def test_first_line_search_cost_does_not_grow_with_the_data_scale(scale):
+    # the solve is scale-equivariant: data scaled by c scale the accepted
+    # steps by c^(2 - p).  From the fixed start 2 * init_step the first
+    # f-euclidean line search evaluated 14, 23 and 32 trials at these
+    # scales; starting at the rung whose trial moves x by at most ||x||_W,
+    # it evaluates 5 at each
+    data = corrupt_field(make_staircase_phantom(10), NoiseSpec(1600.0, 0))
+    scaled = TensorField(data.coeffs * scale, 60.0)
+    params = FunctionalParams(p=1.1, alpha=2.75, n_rho=3, z=60.0)
+    _, report = solve(scaled, Mask.full(10, 10), params, objective="f-euclidean",
+                      config=SolverConfig(max_iters=1, rel_tol=1e-15))
+    assert report.iterations == 1
+    assert report.evaluations - 1 <= 6
+
+
+def test_first_rung_moves_x_by_at_most_its_norm():
+    x = np.tile(np.array([1.0, 2.0, 3.0, 0.5, 0.0, 0.0]), (2, 2, 1))
+    norm = np.sqrt(float((x * x * W3).sum()))
+    direction = x / norm  # ||direction||_W = 1
+    assert optim._first_rung(x, direction, 0.5 * norm) == 0
+    assert optim._first_rung(x, direction, norm) == 0
+    assert optim._first_rung(x, direction, 2.0 * norm) == 1
+    assert optim._first_rung(x, direction, 2.0 ** 10 * norm) == 10
+    # a norm that overflows (solve ignores the warning) asks for the last
+    # rung, one that underflows for the first
+    with np.errstate(over="ignore"):
+        assert optim._first_rung(x, np.full_like(x, 1e200), 1.0) == optim._MAX_BACKTRACKS
+    assert optim._first_rung(x, direction * 1e-300, 1.0) == 0
+
+
+@pytest.fixture
+def check(monkeypatch):
+    """perfbench/check.py, which recomputes what it checks without dtfield."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("check")
+
+
+@pytest.mark.parametrize("objective, params", [
+    ("f-euclidean", FunctionalParams(p=1.1, alpha=2.75, n_rho=3)),
+    ("fc", FunctionalParams(p=2.0, beta=2.0)),
+    ("fc", FunctionalParams(p=1.5, beta=2.0)),
+], ids=["f-euclidean-p1.1", "fc-p2", "fc-p1.5"])
+def test_raw_coefficient_solves_keep_the_readme_guarantees_at_32x32(objective, params, check):
+    # README's guarantees on the 32x32 staircase to rel_tol 1e-8: a certified
+    # SPD field, a trajectory that never increases, bit-identical reruns and
+    # a re-solve from the result that takes no step
+    data = corrupt_field(make_staircase_phantom(32), NoiseSpec(1600.0, 0))
+    mask, config = Mask.full(32, 32), SolverConfig(max_iters=100_000, rel_tol=1e-8)
+    out, report = solve(data, mask, params, objective=objective, config=config)
+    assert report.stop_reason == "tolerance"
+    check.field_is_certified(out.coeffs, params.z)
+    check.trajectory_ok(report.objective_trajectory, report.iterations)
+    again, report_again = solve(data, mask, params, objective=objective, config=config)
+    assert again.coeffs.tobytes() == out.coeffs.tobytes()
+    assert report_again.objective_trajectory == report.objective_trajectory
+    _, resolved = solve(data, mask, params, objective=objective, config=config, init=out)
+    assert resolved.iterations == 0
+    assert resolved.final_objective == report.final_objective
 
 
 def test_line_search_error_on_ill_scaled_weight():

@@ -24,7 +24,9 @@ text and exit alike when the exit status is 0.
 The matrix: README's quick start (generate, the loglog denoise, evaluate,
 render, and inpaint with the central 4x4 hole); an inpainting of the same hole
 at p = 1.1 to rel-tol 1e-8 (about 1,700 L-BFGS steps); euclid and sobolev
-denoises, at the default p and at p = 2; a denoise at --epsilon 1e-3; a re-
+denoises, at the default p and at p = 2 for 40 iterations and at beta 2 to
+rel-tol 1e-8 (3,942 and 11 iterations, where fresh line searches also follow
+failed warm ones); a denoise at --epsilon 1e-3; a re-
 solve from rec.dtf; an alpha sweep with an explicit --report path; a denoise
 from a --config file (solve.cfg, with a flag overriding one of its keys); a
 16x16 main-direction generate; an all-pairs (--l 0) denoise of a 6x6 generate;
@@ -73,6 +75,10 @@ MATRIX = [
     "denoise data/noisy.dtf --objective sobolev --iters 40 --out sobolev.dtf",
     "denoise data/noisy.dtf --objective euclid --p 2 --iters 40 --out euclid2.dtf",
     "denoise data/noisy.dtf --objective sobolev --p 2 --iters 40 --out sobolev2.dtf",
+    "denoise data/noisy.dtf --objective sobolev --beta 2 --iters 100000 --rel-tol 1e-8"
+    " --out sobolev-tol.dtf",
+    "denoise data/noisy.dtf --objective euclid --beta 2 --iters 100000 --rel-tol 1e-8"
+    " --out euclid-tol.dtf",
     "denoise data/noisy.dtf --epsilon 1e-3 --alpha 2.75 --iters 40 --out eps.dtf",
     "denoise rec.dtf --alpha 2.75 --iters 40 --out resolved.dtf",
     "denoise data/noisy.dtf --sweep alpha=0.5,2 --iters 40 --report sweep.json --out sweep.dtf",
